@@ -58,7 +58,6 @@ from .experiments import (
 from .kinship import (
     FamilyShape,
     FamilyState,
-    MendelTables,
     ShareRecord,
     indirect_budget_one_child,
     indirect_budget_two_children,
@@ -72,25 +71,18 @@ from .kinship import (
 from .leakage import LeakageQuery, leakage_upper_bound
 from .mechanism import (
     Branch,
-    DependenceInfo,
-    EliminationOutcome,
     MechanismConfig,
     PerturbedSequence,
     PopulationShare,
-    SharingDistribution,
     SharingMode,
     branch_tables,
-    classify_ineliminable,
-    eliminate_states,
     perturb_population,
     perturb_sequence,
-    sharing_distribution,
     sharing_probs,
 )
 from .ordering import (
     BRUTE_FORCE_MAX_SNPS,
     EXACT_METHOD_MAX_SNPS,
-    MdpSpec,
     OrderPolicy,
     brute_force_order,
     expected_utility_of_order,

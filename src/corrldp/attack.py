@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import STATES, CorrelationModel, _as_genotype_array
+from .mechanism import _fixed_order, _sequential_share, _validate_order
 from .rr import rr_params
 
 
@@ -59,12 +60,10 @@ class AttackerBelief:
     fallback: np.ndarray  # (l,) bool, True where every state was ruled out
 
 
-def _rr_profile(y: np.ndarray, epsilon: float) -> np.ndarray:
+def _rr_profile(Y: np.ndarray, epsilon: float) -> np.ndarray:
+    """p on each reported value, q on the other states; shape Y.shape + (3,)."""
     params = rr_params(epsilon)
-    l = y.size
-    profile = np.full((l, 3), params.q)
-    profile[np.arange(l), y] = params.p
-    return profile
+    return np.where(Y[..., None] == np.arange(3), params.p, params.q)
 
 
 def _attack_counts(Y: np.ndarray, corr: CorrelationModel, tau: float) -> np.ndarray:
@@ -87,9 +86,8 @@ def rr_belief_population(Y, epsilon: float) -> AttackerBelief:
     """
     Y = np.atleast_2d(_as_genotype_array(Y, "reported values"))
     n, l = Y.shape
-    probs = np.stack([_rr_profile(Y[j], epsilon) for j in range(n)])
     return AttackerBelief(
-        probs=probs,
+        probs=_rr_profile(Y, epsilon),
         eliminated=np.zeros((n, l, 3), dtype=bool),
         fallback=np.zeros((n, l), dtype=bool),
     )
@@ -105,17 +103,15 @@ def attack_population(
     default) are additionally ruled out before renormalizing.
     """
     Y = np.atleast_2d(_as_genotype_array(Y, "reported values"))
-    n, l = Y.shape
+    l = Y.shape[1]
     if corr.l != l:
         raise ValueError(f"correlation model covers {corr.l} SNPs, data has {l}")
     counts = _attack_counts(Y, corr, config.tau)
     eliminated = counts >= config.gamma * l
     if config.mechanism_params_known is not None:
         tau_hat, gamma_hat = config.mechanism_params_known
-        for j in range(n):
-            possible = recover_possible_inputs(Y[j], corr, tau_hat, gamma_hat, assumed_order)
-            eliminated[j] |= ~possible
-    profile = np.stack([_rr_profile(Y[j], config.epsilon_known) for j in range(n)])
+        eliminated |= ~recover_possible_inputs(Y, corr, tau_hat, gamma_hat, assumed_order)
+    profile = _rr_profile(Y, config.epsilon_known)
     fallback = eliminated.all(axis=2)
     kept = np.where(fallback[:, :, None], True, ~eliminated)
     probs = profile * kept
@@ -137,31 +133,27 @@ def attack(y, corr: CorrelationModel, config: AttackConfig, assumed_order=None) 
 def recover_possible_inputs(
     y, corr: CorrelationModel, tau_hat: float, gamma_hat: float, order=None
 ) -> np.ndarray:
-    """Replay the mechanism's elimination rule on a reported row.
+    """Replay the mechanism's elimination rule on reported values.
 
-    Returns a (l, 3) boolean array of states the mechanism could still have
-    reported at each SNP.  With the true parameters and the true processing
-    order this reproduces the mechanism's own elimination outcomes exactly,
-    because those depended only on the shared values.  ``order`` defaults to
-    the identity order.
+    ``y`` is one reported row of length l, or an (n, l) matrix whose rows
+    were all shared in ``order``.  Returns a boolean array, (l, 3) or
+    (n, l, 3), of states the mechanism could still have reported at each
+    SNP.  With the true parameters and the true processing order this
+    reproduces the mechanism's own elimination outcomes exactly, because
+    those depended only on the shared values.  ``order`` defaults to the
+    identity order.
     """
-    y = _as_genotype_array(y, "reported values")
-    l = y.size
-    if order is None:
-        order = range(l)
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(l)):
-        raise ValueError(f"order must be a permutation of 0..{l - 1}, got {order}")
+    Y = _as_genotype_array(y, "reported values")
+    if Y.ndim not in (1, 2):
+        raise ValueError(f"reported values must be a row or a matrix, got shape {Y.shape}")
+    l = Y.shape[-1]
+    order = _validate_order(range(l) if order is None else order, l)
     if not math.isfinite(gamma_hat) or gamma_hat <= 0:
         raise ValueError(f"gamma_hat must be finite and > 0, got {gamma_hat}")
-    mask = corr.low_mask(tau_hat)
-    inc = mask.transpose(1, 3, 0, 2)  # [k, b, i, v]
-    counters = np.zeros((l, 3), dtype=np.int32)
-    possible = np.ones((l, 3), dtype=bool)
-    for a, i in enumerate(order, start=1):
-        possible[i] = counters[i] < gamma_hat * a
-        counters += inc[i, y[i]]
-    return possible
+    _, eliminated, _ = _sequential_share(
+        corr.low_mask(tau_hat), gamma_hat, _fixed_order(order), reports=np.atleast_2d(Y)
+    )
+    return np.logical_not(eliminated, out=eliminated).reshape(Y.shape + (3,))
 
 
 def estimation_error(belief_probs, truth) -> float:

@@ -40,7 +40,7 @@ from .data import (
     load_genotype_matrix,
     save_genotype_matrix,
 )
-from .experiments import ExperimentConfig, OrderStrategy, run_experiment, write_results
+from .experiments import ExperimentConfig, OrderStrategy, _fmt, run_experiment, write_results
 from .kinship import (
     FamilyState,
     indirect_budget_one_child,
@@ -58,10 +58,6 @@ from .ordering import (
     random_order,
 )
 from .rr import rr_perturb
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -115,11 +111,6 @@ def _cmd_perturb(args) -> int:
             mode=_mode(args.mode),
         )
         order_seed, noise_seed = seed.spawn(2)
-        if args.order != "random":
-            raise ValueError(
-                "perturb shares whole files under one order; only --order random "
-                "is supported here (use the experiment command for per-row strategies)"
-            )
         order = random_order(matrix.l, order_seed)
         out = perturb_population(matrix, order, corr, config, noise_seed).matrix()
     save_genotype_matrix(out, args.out)
@@ -317,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pseudo-count", type=float, default=0.0)
     p.add_argument("--mechanism", choices=["rr", "proposed"], default="proposed")
     _add_mechanism_flags(p)
-    p.add_argument("--order", choices=["random", "greedy", "optimal"], default="random")
+    p.add_argument("--order", choices=["random"], default="random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_perturb)

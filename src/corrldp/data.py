@@ -266,13 +266,6 @@ class CorrelationModel:
         self._low_mask_cache[key] = mask
         return mask
 
-    def defined_values(self) -> np.ndarray:
-        """All defined off-diagonal conditional values, flattened."""
-        defined = ~np.isnan(self.cond)
-        idx = np.arange(self.l)
-        defined[idx, idx] = False
-        return self.cond[defined]
-
     def to_json(self, path) -> None:
         cond_list = np.where(np.isnan(self.cond), None, self.cond).tolist()
         payload = {

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -52,16 +52,6 @@ PARENT_GIVEN_TWO_CHILDREN: Mapping[tuple[int, int], tuple[Fraction, ...]] = {
     (2, 1): (Fraction(0), Fraction(3, 5), Fraction(2, 5)),
     (2, 2): (Fraction(0), Fraction(1, 5), Fraction(4, 5)),
 }
-
-
-@dataclass(frozen=True)
-class MendelTables:
-    """Rational parent-posterior tables for the supported family shapes."""
-
-    parent_given_child: tuple[tuple[Fraction, ...], ...] = PARENT_GIVEN_CHILD
-    parent_given_two_children: Mapping[tuple[int, int], tuple[Fraction, ...]] = field(
-        default_factory=lambda: dict(PARENT_GIVEN_TWO_CHILDREN)
-    )
 
 
 class FamilyShape(enum.Enum):

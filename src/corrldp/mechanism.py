@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -81,27 +81,6 @@ class MechanismConfig:
     @cached_property
     def params(self) -> PerturbParams:
         return rr_params(self.epsilon)
-
-
-@dataclass(frozen=True)
-class EliminationOutcome:
-    """Counters and eliminated states for one SNP at its processing position."""
-
-    snp: int
-    position: int
-    counters: tuple[int, int, int]
-    eliminated: frozenset[int]
-
-
-@dataclass(frozen=True)
-class SharingDistribution:
-    """Report distribution over states for one SNP, with its table branch."""
-
-    probs: tuple[float, float, float]
-    branch: Branch
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v in STATES if self.probs[v] > 0)
 
 
 def sharing_probs(
@@ -155,151 +134,6 @@ def sharing_probs(
     return tuple(probs), Branch.PAIR_TRUTH_DROPPED
 
 
-def sharing_distribution(
-    x: int, eliminated: Iterable[int], config: MechanismConfig
-) -> SharingDistribution:
-    probs, branch = sharing_probs(x, eliminated, config.params, config.mode)
-    return SharingDistribution(probs=tuple(float(v) for v in probs), branch=branch)
-
-
-def eliminate_states(
-    snp: int,
-    prefix: Sequence[tuple[int, int]],
-    corr: CorrelationModel,
-    config: MechanismConfig,
-) -> EliminationOutcome:
-    """Run the inconsistency test for one SNP against the shared prefix.
-
-    ``prefix`` holds (snp_index, shared_value) pairs for everything already
-    reported, in processing order; the SNP under test sits at position
-    ``len(prefix) + 1``.  Undefined conditionals never count as evidence.
-    """
-    position = len(prefix) + 1
-    mask = corr.low_mask(config.tau_hat)
-    if prefix:
-        ks = np.fromiter((k for k, _ in prefix), dtype=np.intp, count=len(prefix))
-        ys = np.fromiter((y for _, y in prefix), dtype=np.intp, count=len(prefix))
-        counters = mask[snp, ks, :, ys].sum(axis=0)
-    else:
-        counters = np.zeros(3, dtype=np.int64)
-    threshold = config.gamma_hat * position
-    eliminated = frozenset(v for v in STATES if counters[v] >= threshold)
-    return EliminationOutcome(
-        snp=snp,
-        position=position,
-        counters=tuple(int(c) for c in counters),
-        eliminated=eliminated,
-    )
-
-
-@dataclass(frozen=True)
-class DependenceInfo:
-    """What the mechanism actually conditioned on, per SNP.
-
-    ``horizon`` is the maximum number of other SNPs any report may depend on
-    (the full preceding prefix, so l - 1); ``consulted[i]`` is the set of SNP
-    indices SNP i's elimination test saw; ``ineliminable[i]`` marks SNPs
-    where elimination left exactly the true value, which are inherently
-    revealed and sit outside the likelihood-ratio guarantee.
-    """
-
-    horizon: int
-    consulted: tuple[frozenset[int], ...]
-    ineliminable: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class PerturbedSequence:
-    """One individual's shared row plus the full per-SNP trace."""
-
-    values: np.ndarray
-    order: tuple[int, ...]
-    records: tuple[tuple[EliminationOutcome, SharingDistribution], ...]
-    info: DependenceInfo
-
-    def record_for(self, snp: int) -> tuple[EliminationOutcome, SharingDistribution]:
-        return self.records[snp]
-
-
-def _validate_order(order: Sequence[int], l: int) -> tuple[int, ...]:
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(l)):
-        raise ValueError(f"order must be a permutation of 0..{l - 1}, got {order}")
-    return order
-
-
-def _stream(rng_seed) -> np.random.Generator:
-    return np.random.default_rng(as_seed_sequence(rng_seed))
-
-
-def _sample_state(cum: Sequence[float], u: float) -> int:
-    """Inverse-CDF draw shared by the scalar and population paths."""
-    return int(u >= cum[0]) + int(u >= cum[1])
-
-
-def classify_ineliminable(row, outcomes: Sequence[EliminationOutcome]) -> list[bool]:
-    """True where exactly two states were eliminated and the survivor is the truth."""
-    row = _as_genotype_array(row, "row")
-    flags = []
-    for x, outcome in zip(row, outcomes):
-        survivors = set(STATES) - outcome.eliminated
-        flags.append(len(survivors) == 1 and survivors == {int(x)})
-    return flags
-
-
-def perturb_sequence(
-    row,
-    order: Sequence[int],
-    corr: CorrelationModel,
-    config: MechanismConfig,
-    rng_seed,
-) -> PerturbedSequence:
-    """Share one genotype row through the sequential mechanism.
-
-    One uniform draw is consumed per processing step, so a fixed seed pins
-    the entire output.  Reported values land at their original positions.
-    """
-    row = _as_genotype_array(row, "row")
-    if row.ndim != 1:
-        raise ValueError(f"row must be 1-D, got shape {row.shape}")
-    l = row.size
-    if corr.l != l:
-        raise ValueError(f"correlation model covers {corr.l} SNPs, row has {l}")
-    order = _validate_order(order, l)
-    gen = _stream(rng_seed)
-
-    values = np.empty(l, dtype=np.int8)
-    records: list = [None] * l
-    consulted: list = [None] * l
-    prefix: list[tuple[int, int]] = []
-    for i in order:
-        outcome = eliminate_states(i, prefix, corr, config)
-        dist = sharing_distribution(int(row[i]), outcome.eliminated, config)
-        cum = np.cumsum(dist.probs)
-        y = _sample_state(cum, gen.random())
-        values[i] = y
-        records[i] = (outcome, dist)
-        consulted[i] = frozenset(k for k, _ in prefix)
-        prefix.append((i, y))
-
-    info = DependenceInfo(
-        horizon=l - 1,
-        consulted=tuple(consulted),
-        ineliminable=tuple(classify_ineliminable(row, [records[i][0] for i in range(l)])),
-    )
-    return PerturbedSequence(values=values, order=order, records=tuple(records), info=info)
-
-
-@dataclass(frozen=True)
-class PopulationShare:
-    """Vectorized share of a whole population under one processing order."""
-
-    values: np.ndarray  # (n, l) int8
-    eliminated: np.ndarray  # (n, l, 3) bool
-    order: tuple[int, ...]
-
-    def matrix(self) -> GenotypeMatrix:
-        return GenotypeMatrix(self.values)
 
 
 def branch_tables(config: MechanismConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -315,6 +149,130 @@ def branch_tables(config: MechanismConfig) -> tuple[np.ndarray, np.ndarray]:
             p, _ = sharing_probs(x, elim, config.params, config.mode)
             probs[x, bits] = [float(val) for val in p]
     return np.cumsum(probs, axis=2), probs
+
+
+def _elimination_bits(elim: np.ndarray) -> np.ndarray:
+    """The branch-table index of boolean (..., 3) eliminations."""
+    return elim[..., 0] * 1 + elim[..., 1] * 2 + elim[..., 2] * 4
+
+
+@dataclass(frozen=True)
+class PerturbedSequence:
+    """One individual's shared row, the order it was shared in, and the states
+    elimination had ruled out for each SNP when it was shared."""
+
+    values: np.ndarray  # (l,) int8
+    order: tuple[int, ...]
+    eliminated: np.ndarray  # (l, 3) bool
+
+
+@dataclass(frozen=True)
+class PopulationShare:
+    """Vectorized share of a whole population under one processing order."""
+
+    values: np.ndarray  # (n, l) int8
+    eliminated: np.ndarray  # (n, l, 3) bool
+    order: tuple[int, ...]
+
+    def matrix(self) -> GenotypeMatrix:
+        return GenotypeMatrix(self.values)
+
+
+# Picks the next SNP from (SNPs shared so far, counters (n, l, 3), values (n, l)).
+_NextSnp = Callable[[list, np.ndarray, np.ndarray], int]
+
+
+def _validate_order(order: Sequence[int], l: int) -> tuple[int, ...]:
+    order = tuple(int(i) for i in order)
+    if sorted(order) != list(range(l)):
+        raise ValueError(f"order must be a permutation of 0..{l - 1}, got {order}")
+    return order
+
+
+def _fixed_order(order: tuple[int, ...]) -> _NextSnp:
+    return lambda taken, counters, values: order[len(taken)]
+
+
+def _sequential_share(
+    low: np.ndarray,
+    gamma_hat: float,
+    next_snp: _NextSnp,
+    *,
+    reports: np.ndarray | None = None,
+    truth: np.ndarray | None = None,
+    uniforms: np.ndarray | None = None,
+    cum: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The mechanism's sequential rule over an (n, l) block of rows.
+
+    At step a (1-based) ``next_snp`` names SNP i, and state v of SNP i is
+    eliminated in every row whose counter for it reaches gamma_hat * a.  The
+    report is then the inverse-CDF draw of ``uniforms[:, a - 1]`` from
+    ``cum[truth[:, i], bits]``, or, when ``reports`` is given, its column i
+    replayed.  Sharing SNP k as b adds one to the counter of every state v of
+    every SNP i with ``low[i, k, v, b]`` set (``low`` is the model's low-mask
+    at tau_hat).  Returns (values, eliminated, order).
+    """
+    n, l = (truth if reports is None else reports).shape
+    # inc[k, b] is the (l, 3) counter increment caused by sharing SNP k as b
+    inc = np.ascontiguousarray(low.transpose(1, 3, 0, 2).astype(np.int16))
+    counters = np.zeros((n, l, 3), dtype=np.int16)
+    values = np.empty((n, l), dtype=np.int8) if reports is None else reports
+    eliminated = np.empty((n, l, 3), dtype=bool)
+    order: list[int] = []
+    for a in range(1, l + 1):
+        i = next_snp(order, counters, values)
+        elim = counters[:, i, :] >= gamma_hat * a
+        if reports is None:
+            c = cum[truth[:, i], _elimination_bits(elim)]
+            y = (uniforms[:, a - 1, None] >= c[:, :2]).sum(axis=1).astype(np.int8)
+            values[:, i] = y
+        else:
+            y = reports[:, i]
+        eliminated[:, i, :] = elim
+        counters += inc[i, y]
+        order.append(i)
+    return values, eliminated, tuple(order)
+
+
+def _as_row(row, corr: CorrelationModel) -> np.ndarray:
+    row = _as_genotype_array(row, "row")
+    if row.ndim != 1:
+        raise ValueError(f"row must be 1-D, got shape {row.shape}")
+    if corr.l != row.size:
+        raise ValueError(f"correlation model covers {corr.l} SNPs, row has {row.size}")
+    return row
+
+
+def _share_row(
+    row: np.ndarray, next_snp: _NextSnp, corr: CorrelationModel, config: MechanismConfig, rng_seed
+) -> PerturbedSequence:
+    """Share one validated row in the order ``next_snp`` picks, drawing one
+    uniform per step from the seed's own stream."""
+    cum, _ = branch_tables(config)
+    uniforms = np.random.default_rng(as_seed_sequence(rng_seed)).random((1, row.size))
+    values, eliminated, order = _sequential_share(
+        corr.low_mask(config.tau_hat), config.gamma_hat, next_snp,
+        truth=row[None, :], uniforms=uniforms, cum=cum,
+    )
+    return PerturbedSequence(values=values[0], order=order, eliminated=eliminated[0])
+
+
+def perturb_sequence(
+    row,
+    order: Sequence[int],
+    corr: CorrelationModel,
+    config: MechanismConfig,
+    rng_seed,
+) -> PerturbedSequence:
+    """Share one genotype row through the sequential mechanism.
+
+    One uniform draw is consumed per processing step, so a fixed seed pins
+    the entire output.  Reported values land at their original positions.
+    """
+    row = _as_row(row, corr)
+    order = _validate_order(order, row.size)
+    return _share_row(row, _fixed_order(order), corr, config, rng_seed)
 
 
 def perturb_population(
@@ -340,20 +298,8 @@ def perturb_population(
     for j in range(n):
         U[j] = np.random.default_rng(children[j]).random(l)
 
-    # inc[k, b] is the (l, 3) counter increment caused by sharing SNP k as b
-    inc = np.ascontiguousarray(
-        corr.low_mask(config.tau_hat).transpose(1, 3, 0, 2).astype(np.int16)
+    values, eliminated, _ = _sequential_share(
+        corr.low_mask(config.tau_hat), config.gamma_hat, _fixed_order(order),
+        truth=X, uniforms=U, cum=cum,
     )
-    counters = np.zeros((n, l, 3), dtype=np.int16)
-    values = np.empty((n, l), dtype=np.int8)
-    eliminated = np.empty((n, l, 3), dtype=bool)
-    for a, i in enumerate(order, start=1):
-        elim = counters[:, i, :] >= config.gamma_hat * a
-        bits = elim[:, 0] * 1 + elim[:, 1] * 2 + elim[:, 2] * 4
-        c = cum[X[:, i], bits]
-        u = U[:, a - 1]
-        y = (u[:, None] >= c[:, :2]).sum(axis=1).astype(np.int8)
-        values[:, i] = y
-        eliminated[:, i, :] = elim
-        counters += inc[i, y]
     return PopulationShare(values=values, eliminated=eliminated, order=order)

@@ -24,31 +24,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .beacon import per_snp_expected_utility
-from .data import STATES, CorrelationModel, _as_genotype_array, as_seed_sequence
+from .data import STATES, CorrelationModel, GenotypeMatrix, _as_genotype_array, as_seed_sequence
 from .mechanism import (
-    DependenceInfo,
     MechanismConfig,
     PerturbedSequence,
+    _as_row,
+    _elimination_bits,
+    _share_row,
+    _validate_order,
     branch_tables,
-    classify_ineliminable,
-    eliminate_states,
-    perturb_sequence,
-    sharing_distribution,
+    perturb_population,
 )
 
 ProcessingOrder = tuple[int, ...]
 
 EXACT_METHOD_MAX_SNPS = 12
 BRUTE_FORCE_MAX_SNPS = 6
-
-_SHARE_STREAM = 0
-_TIE_STREAM = 1
 
 
 def random_order(l: int, rng_seed) -> ProcessingOrder:
@@ -59,92 +55,98 @@ def random_order(l: int, rng_seed) -> ProcessingOrder:
     return tuple(int(i) for i in rng.permutation(l))
 
 
-@dataclass(frozen=True)
-class MdpSpec:
-    """Semantic view of the order-selection decision process.
+def _utility_table(probs: np.ndarray) -> np.ndarray:
+    """util[x, bits]: the chance that a report drawn from probs[x, bits]
+    (see branch_tables) keeps x's beacon class."""
+    util = np.empty((3, 8))
+    for x in STATES:
+        for bits in range(8):
+            util[x, bits] = per_snp_expected_utility(x, probs[x, bits])
+    return util
 
-    States are prefixes of (snp, value) pairs in processing order; actions
-    are unshared SNP indices; transitions sample the sharing distribution
-    induced by elimination against the prefix, with reward 1 when the report
-    preserves the beacon class of the true value.
-    """
 
-    row: tuple[int, ...]
-    corr: CorrelationModel
-    config: MechanismConfig
-
-    def initial_state(self) -> tuple:
-        return ()
-
-    def actions(self, state: tuple) -> tuple[int, ...]:
-        taken = {k for k, _ in state}
-        return tuple(i for i in range(len(self.row)) if i not in taken)
-
-    def transition(self, state: tuple, action: int) -> list[tuple[float, tuple, int]]:
-        """(probability, next state, reward) for each possible report."""
-        outcome = eliminate_states(action, list(state), self.corr, self.config)
-        dist = sharing_distribution(self.row[action], outcome.eliminated, self.config)
-        x_class = self.row[action] > 0
-        result = []
-        for y in STATES:
-            if dist.probs[y] > 0:
-                reward = int((y > 0) == x_class)
-                result.append((dist.probs[y], state + ((action, y),), reward))
-        return result
+# Counters pack into one int: slot 3*i + v (state v of SNP i) is a field of
+# _FIELD bits.  A field holds at most 15 (a counter never exceeds l - 1 <= 11),
+# and adding 16 - k to it sets its top bit exactly when it is >= k, so one
+# addition, shift and mask compares every counter with the same threshold.
+_FIELD = 5
+_TOP = _FIELD - 1
+_BITS_OF_CHUNK = {
+    sum(1 << (_FIELD * v) for v in STATES if bits >> v & 1): bits for bits in range(8)
+}
+_CHUNK = (1 << (3 * _FIELD)) - 1
+_CHUNK_LOWS = sum(1 << (_FIELD * v) for v in STATES)
 
 
 class _ExactSolver:
     """Backward-induction solver over (remaining set, saturated counters)."""
 
     def __init__(self, row: np.ndarray, corr: CorrelationModel, config: MechanismConfig):
-        self.row = row
-        self.config = config
-        self.l = row.size
-        self.gamma_hat = config.gamma_hat
-        self.cap = max(1, math.ceil(config.gamma_hat * self.l))
-        cum, probs = branch_tables(config)
-        self.probs_table = probs  # (3, 8, 3)
-        self.util_table = np.empty((3, 8))
-        for x in STATES:
-            for bits in range(8):
-                self.util_table[x, bits] = per_snp_expected_utility(x, probs[x, bits])
+        self.row = [int(x) for x in row]
+        self.l = l = len(self.row)
+        _, probs = branch_tables(config)
+        util = _utility_table(probs)
+        # branches[x][bits]: (expected utility, ((y, P(y)) for each possible y))
+        self.branches = [
+            [
+                (
+                    float(util[x, bits]),
+                    tuple((y, float(probs[x, bits, y])) for y in STATES if probs[x, bits, y] > 0),
+                )
+                for bits in range(8)
+            ]
+            for x in STATES
+        ]
+        self.ones = sum(1 << (_FIELD * s) for s in range(3 * l))
+        # a counter at cap already clears every threshold, so it stops there
+        cap = min(max(1, math.ceil(config.gamma_hat * l)), 1 << _TOP)
+        self.at_cap = ((1 << _TOP) - cap) * self.ones
+        # ge_threshold[p]: added to the counters, tops the fields that reach
+        # gamma_hat * p (an integer counter reaches it iff it reaches the ceiling)
+        self.ge_threshold = [0] + [
+            ((1 << _TOP) - min(math.ceil(config.gamma_hat * p), 1 << _TOP)) * self.ones
+            for p in range(1, l + 1)
+        ]
+        self.keep = [~(_CHUNK << (3 * _FIELD * i)) for i in range(l)]
+        # live[mask]: the low bit of every field of an unshared SNP
+        self.live = [0] * (1 << l)
+        for mask in range(1, 1 << l):
+            low = mask & -mask
+            shift = 3 * _FIELD * (low.bit_length() - 1)
+            self.live[mask] = self.live[mask ^ low] | _CHUNK_LOWS << shift
+        # delta[k][y]: sharing (k, y) bumps the counter of (i, v) for each
+        # low (i, v | k, y) pair
         low = corr.low_mask(config.tau_hat)
-        # sparse increments: sharing (k, y) bumps counter slot 3*i + v of SNP i
-        self.inc: list[list[tuple[tuple[int, int], ...]]] = []
-        for k in range(self.l):
-            per_value = []
-            for y in STATES:
-                hits = []
-                for i in range(self.l):
-                    for v in STATES:
-                        if low[i, k, v, y]:
-                            hits.append((3 * i + v, 1 << i))
-                per_value.append(tuple(hits))
-            self.inc.append(per_value)
-        self.memo: dict[tuple[int, bytes], tuple[float, int]] = {}
+        self.delta = [
+            [
+                sum(
+                    1 << (_FIELD * (3 * i + v))
+                    for i in range(l)
+                    for v in STATES
+                    if low[i, k, v, y]
+                )
+                for y in STATES
+            ]
+            for k in range(l)
+        ]
+        self.memo: dict[tuple[int, int], tuple[float, int]] = {}
 
-    def initial(self) -> tuple[int, bytes]:
-        return (1 << self.l) - 1, bytes(3 * self.l)
+    def initial(self) -> tuple[int, int]:
+        return (1 << self.l) - 1, 0
 
-    def child(self, mask: int, counters: bytes, snp: int, y: int) -> tuple[int, bytes]:
+    def child(self, mask: int, counters: int, snp: int, y: int) -> tuple[int, int]:
         child_mask = mask & ~(1 << snp)
-        cc = bytearray(counters)
-        cc[3 * snp] = cc[3 * snp + 1] = cc[3 * snp + 2] = 0
-        for slot, snp_bit in self.inc[snp][y]:
-            if child_mask & snp_bit and cc[slot] < self.cap:
-                cc[slot] += 1
-        return child_mask, bytes(cc)
+        cc = counters & self.keep[snp]
+        saturated = ((cc + self.at_cap) >> _TOP) & self.ones
+        return child_mask, cc + (self.delta[snp][y] & self.live[child_mask] & ~saturated)
 
-    def elimination_bits(self, counters: bytes, snp: int, position: int) -> int:
-        thr = self.gamma_hat * position
-        base = 3 * snp
-        return (
-            (counters[base] >= thr)
-            | ((counters[base + 1] >= thr) << 1)
-            | ((counters[base + 2] >= thr) << 2)
-        )
+    def branch(self, counters: int, snp: int, position: int) -> tuple[float, tuple]:
+        """(expected utility, report branches) of sharing ``snp`` at ``position``."""
+        reached = ((counters + self.ge_threshold[position]) >> _TOP) & self.ones
+        bits = _BITS_OF_CHUNK[(reached >> (3 * _FIELD * snp)) & _CHUNK]
+        return self.branches[self.row[snp]][bits]
 
-    def value(self, mask: int, counters: bytes) -> tuple[float, int]:
+    def value(self, mask: int, counters: int) -> tuple[float, int]:
         """(best expected remaining utility, best next SNP; -1 when done)."""
         if mask == 0:
             return 0.0, -1
@@ -152,25 +154,31 @@ class _ExactSolver:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
+        # child() and branch() inlined: this loop is the solver's hot path
+        ones, keep, delta, branches = self.ones, self.keep, self.delta, self.branches
         position = self.l - mask.bit_count() + 1
+        reached = ((counters + self.ge_threshold[position]) >> _TOP) & ones
         best_val, best_act = -1.0, -1
-        for i in range(self.l):
-            if not mask >> i & 1:
-                continue
-            bits = self.elimination_bits(counters, i, position)
-            x = self.row[i]
-            val = self.util_table[x, bits]
-            probs = self.probs_table[x, bits]
-            for y in STATES:
-                if probs[y] > 0:
-                    cm, cc = self.child(mask, counters, i, y)
-                    val += probs[y] * self.value(cm, cc)[0]
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            shift = 3 * _FIELD * i
+            val, report = branches[self.row[i]][_BITS_OF_CHUNK[(reached >> shift) & _CHUNK]]
+            # the shared SNP's own counters reset; every other live counter
+            # below cap may be bumped
+            cm = mask ^ low
+            cc = counters & keep[i]
+            room = self.live[cm] & ~(((cc + self.at_cap) >> _TOP) & ones)
+            for y, p in report:
+                val += p * self.value(cm, cc + (delta[i][y] & room))[0]
             if val > best_val:
                 best_val, best_act = val, i
         self.memo[key] = (best_val, best_act)
         return best_val, best_act
 
-    def state_after(self, prefix: Sequence[tuple[int, int]]) -> tuple[int, bytes]:
+    def state_after(self, prefix: Sequence[tuple[int, int]]) -> tuple[int, int]:
         mask, counters = self.initial()
         for k, y in prefix:
             if not mask >> k & 1:
@@ -202,13 +210,11 @@ def optimal_order_value_iteration(
     Returns the policy and its expected total utility.  Ties between SNPs
     resolve to the lowest index.  Capped at EXACT_METHOD_MAX_SNPS.
     """
-    row = _as_genotype_array(row, "row")
+    row = _as_row(row, corr)
     if row.size > EXACT_METHOD_MAX_SNPS:
         raise ValueError(
             f"exact solve supports at most {EXACT_METHOD_MAX_SNPS} SNPs, got {row.size}"
         )
-    if corr.l != row.size:
-        raise ValueError(f"correlation model covers {corr.l} SNPs, row has {row.size}")
     solver = _ExactSolver(row, corr, config)
     policy = OrderPolicy(solver)
     return policy, policy.expected_utility
@@ -231,28 +237,22 @@ def expected_utility_of_order(
     """
     row = _as_genotype_array(row, "row")
     l = row.size
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(l)):
-        raise ValueError(f"order must be a permutation of 0..{l - 1}, got {order}")
+    order = _validate_order(order, l)
     if method == "monte_carlo":
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        children = as_seed_sequence(rng_seed).spawn(trials)
-        total = 0.0
-        for t in range(trials):
-            seq = perturb_sequence(row, order, corr, config, children[t])
-            total += sum(
-                int((int(y) > 0) == (int(x) > 0)) for x, y in zip(row, seq.values)
-            )
-        return total / trials
+        # trial t is row t of the tiled matrix, drawn from the seed's t-th child
+        tiled = GenotypeMatrix(np.tile(row, (trials, 1)))
+        share = perturb_population(tiled, order, corr, config, rng_seed)
+        return int(np.count_nonzero((share.values > 0) == (row > 0))) / trials
     if method != "exact":
         raise ValueError(f"method must be 'exact' or 'monte_carlo', got {method!r}")
     if l > EXACT_METHOD_MAX_SNPS:
         raise ValueError(f"exact evaluation supports at most {EXACT_METHOD_MAX_SNPS} SNPs")
     solver = _ExactSolver(row, corr, config)
-    memo: dict[tuple[int, bytes], float] = {}
+    memo: dict[tuple[int, int], float] = {}
 
-    def walk(a: int, mask: int, counters: bytes) -> float:
+    def walk(a: int, mask: int, counters: int) -> float:
         if a == l:
             return 0.0
         key = (a, counters)
@@ -260,14 +260,10 @@ def expected_utility_of_order(
         if hit is not None:
             return hit
         i = order[a]
-        bits = solver.elimination_bits(counters, i, a + 1)
-        x = row[i]
-        val = solver.util_table[x, bits]
-        probs = solver.probs_table[x, bits]
-        for y in STATES:
-            if probs[y] > 0:
-                cm, cc = solver.child(mask, counters, i, y)
-                val += probs[y] * walk(a + 1, cm, cc)
+        val, report = solver.branch(counters, i, a + 1)
+        for y, p in report:
+            cm, cc = solver.child(mask, counters, i, y)
+            val += p * walk(a + 1, cm, cc)
         memo[key] = val
         return val
 
@@ -304,37 +300,23 @@ def greedy_share(
     perturb_sequence(row, order, corr, config, SeedSequence(rng_seed,
     spawn_key=(0,))) replays the identical sequence.
     """
-    row = _as_genotype_array(row, "row")
-    l = row.size
-    if corr.l != l:
-        raise ValueError(f"correlation model covers {corr.l} SNPs, row has {l}")
+    row = _as_row(row, corr)
     share_ss, tie_ss = as_seed_sequence(rng_seed).spawn(2)
-    share_stream = np.random.default_rng(share_ss)
     tie_stream = np.random.default_rng(tie_ss)
+    util = _utility_table(branch_tables(config)[1])
+    remaining = np.ones(row.size, dtype=bool)
 
-    prefix: list[tuple[int, int]] = []
-    remaining = list(range(l))
-    order: list[int] = []
-    for _ in range(l):
-        utilities = []
-        for i in remaining:
-            outcome = eliminate_states(i, prefix, corr, config)
-            dist = sharing_distribution(int(row[i]), outcome.eliminated, config)
-            utilities.append(per_snp_expected_utility(int(row[i]), dist.probs))
-        best = max(utilities)
-        ties = [i for i, u in zip(remaining, utilities) if u == best]
-        pick = ties[0] if len(ties) == 1 else ties[int(tie_stream.integers(len(ties)))]
-        outcome = eliminate_states(pick, prefix, corr, config)
-        dist = sharing_distribution(int(row[pick]), outcome.eliminated, config)
-        cum = np.cumsum(dist.probs)
-        u = share_stream.random()
-        y = int(u >= cum[0]) + int(u >= cum[1])
-        prefix.append((pick, y))
-        order.append(pick)
-        remaining.remove(pick)
+    def next_snp(taken, counters, values) -> int:
+        candidates = np.flatnonzero(remaining)
+        elim = counters[0, candidates] >= config.gamma_hat * (len(taken) + 1)
+        gain = util[row[candidates], _elimination_bits(elim)]
+        ties = candidates[gain == gain.max()]
+        pick = int(ties[0] if ties.size == 1 else ties[tie_stream.integers(ties.size)])
+        remaining[pick] = False
+        return pick
 
-    seq = perturb_sequence(row, order, corr, config, share_ss)
-    return tuple(order), seq
+    seq = _share_row(row, next_snp, corr, config, share_ss)
+    return seq.order, seq
 
 
 def greedy_order(
@@ -350,28 +332,9 @@ def perturb_with_policy(
     """Realize an adaptive policy: each next SNP may depend on past reports.
 
     One uniform per step, same convention as perturb_sequence."""
-    row = _as_genotype_array(row, "row")
-    l = row.size
-    gen = np.random.default_rng(as_seed_sequence(rng_seed))
-    values = np.empty(l, dtype=np.int8)
-    records: list = [None] * l
-    consulted: list = [None] * l
-    prefix: list[tuple[int, int]] = []
-    for _ in range(l):
-        i = policy.action(prefix)
-        outcome = eliminate_states(i, prefix, corr, config)
-        dist = sharing_distribution(int(row[i]), outcome.eliminated, config)
-        cum = np.cumsum(dist.probs)
-        u = gen.random()
-        y = int(u >= cum[0]) + int(u >= cum[1])
-        values[i] = y
-        records[i] = (outcome, dist)
-        consulted[i] = frozenset(k for k, _ in prefix)
-        prefix.append((i, y))
-    order = tuple(k for k, _ in prefix)
-    info = DependenceInfo(
-        horizon=l - 1,
-        consulted=tuple(consulted),
-        ineliminable=tuple(classify_ineliminable(row, [records[i][0] for i in range(l)])),
-    )
-    return PerturbedSequence(values=values, order=order, records=tuple(records), info=info)
+    row = _as_row(row, corr)
+
+    def next_snp(taken, counters, values) -> int:
+        return policy.action([(k, int(values[0, k])) for k in taken])
+
+    return _share_row(row, next_snp, corr, config, rng_seed)

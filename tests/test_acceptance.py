@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from support import reference_optimal_value
+from support import MdpSpec, reference_optimal_value
 
 from corrldp.attack import (
     AttackConfig,
@@ -47,7 +47,6 @@ from corrldp.mechanism import (
     sharing_probs,
 )
 from corrldp.ordering import (
-    MdpSpec,
     brute_force_order,
     expected_utility_of_order,
     greedy_order,

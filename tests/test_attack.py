@@ -159,6 +159,20 @@ def test_replay_reproduces_mechanism_elimination():
         assert np.array_equal(possible, ~share.eliminated[j]), f"row {j}"
 
 
+def test_replay_of_a_block_matches_rows_and_mechanism():
+    m = generate_synthetic_population(SyntheticSpec(n=30, l=10, maf=0.3, rho=0.85), 6)
+    corr = compute_correlation_model(m)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.3)
+    order = random_order(10, 8)
+    share = perturb_population(m, order, corr, cfg, 3)
+    block = recover_possible_inputs(share.values, corr, 0.2, 0.3, order)
+    assert block.shape == (30, 10, 3)
+    assert np.array_equal(block, ~share.eliminated)
+    for j in range(m.n):
+        row = recover_possible_inputs(share.values[j], corr, 0.2, 0.3, order)
+        assert np.array_equal(block[j], row), f"row {j}"
+
+
 def test_replay_default_order_is_identity():
     m = generate_synthetic_population(SyntheticSpec(n=3, l=6, maf=0.3, rho=0.9), 3)
     corr = compute_correlation_model(m)

@@ -90,13 +90,11 @@ def test_perturb_rr_and_proposed(tmp_path, capsys):
 
 def test_perturb_rejects_nonrandom_order(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
-    code, _, err = run_cli(
-        ["perturb", "--data", str(data), "--epsilon", "1.0",
-         "--order", "greedy", "--out", str(tmp_path / "x.txt")],
-        capsys,
-    )
-    assert code == 2
-    assert "usage error" in err and "random" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["perturb", "--data", str(data), "--epsilon", "1.0",
+              "--order", "greedy", "--out", str(tmp_path / "x.txt")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_attack_writes_normalized_beliefs(tmp_path, capsys):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import custom_corr, exact_params, uniform_corr
+from support import (
+    custom_corr,
+    eliminate_states,
+    exact_params,
+    reference_share,
+    sharing_distribution,
+    uniform_corr,
+)
 
 from corrldp.data import GenotypeMatrix, SyntheticSpec, compute_correlation_model, generate_synthetic_population
 from corrldp.mechanism import (
@@ -17,11 +24,8 @@ from corrldp.mechanism import (
     MechanismConfig,
     SharingMode,
     branch_tables,
-    classify_ineliminable,
-    eliminate_states,
     perturb_population,
     perturb_sequence,
-    sharing_distribution,
     sharing_probs,
 )
 from corrldp.rr import rr_params, rr_perturb
@@ -218,24 +222,22 @@ def test_sequence_deterministic_and_positions_original():
     b = perturb_sequence(m.row(0), order, corr, cfg, 11)
     assert np.array_equal(a.values, b.values)
     assert a.order == order
-    # records are indexed by original SNP id: record_for(i) reports on SNP i
-    for i in range(6):
-        outcome, _ = a.record_for(i)
-        assert outcome.snp == i
-        assert outcome.position == order.index(i) + 1
-    assert a.info.horizon == 5
-    # the consulted set at each position is exactly the processed prefix
+    # eliminations are indexed by original SNP id, and SNP i's test consulted
+    # exactly the prefix processed before it
     for pos, i in enumerate(order):
-        assert a.info.consulted[i] == frozenset(order[:pos])
+        prefix = [(k, int(a.values[k])) for k in order[:pos]]
+        outcome = eliminate_states(i, prefix, corr, cfg)
+        assert outcome.position == pos + 1
+        assert a.eliminated[i].tolist() == [v in outcome.eliminated for v in range(3)]
 
 
 def test_single_snp_is_plain_rr():
     corr = uniform_corr(1)
     cfg = MechanismConfig(epsilon=LN2, tau_hat=0.2, gamma_hat=0.5)
     seq = perturb_sequence([1], (0,), corr, cfg, 0)
-    outcome, dist = seq.record_for(0)
-    assert outcome.eliminated == frozenset()
-    assert dist.branch is Branch.RR
+    eliminated = {v for v in range(3) if seq.eliminated[0, v]}
+    assert eliminated == set()
+    assert sharing_distribution(1, eliminated, cfg).branch is Branch.RR
 
 
 def test_gamma_above_one_matches_rr_distribution():
@@ -265,9 +267,29 @@ def test_population_matches_scalar_path():
         seq = perturb_sequence(m.row(j), order, corr, cfg, children[j])
         assert np.array_equal(share.values[j], seq.values), f"row {j}"
         for i in range(m.l):
-            assert share.eliminated[j, i].tolist() == [
-                v in seq.record_for(i)[0].eliminated for v in range(3)
-            ]
+            assert np.array_equal(share.eliminated[j, i], seq.eliminated[i])
+
+
+def test_sequence_and_population_match_scalar_reference():
+    # the scalar reference recomputes every elimination test from the whole
+    # prefix; the kernel keeps incremental counters
+    m = generate_synthetic_population(SyntheticSpec(n=6, l=12, maf=0.3, rho=0.85), 4)
+    corr = compute_correlation_model(m)
+    configs = (
+        MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4),
+        MechanismConfig(epsilon=0.6, tau_hat=0.25, gamma_hat=0.3, mode=SharingMode.PLAIN),
+        MechanismConfig(epsilon=1.5, tau_hat=0.15, gamma_hat=0.01),
+    )
+    order = (5, 0, 11, 3, 7, 1, 9, 2, 10, 4, 8, 6)
+    for cfg in configs:
+        share = perturb_population(m, order, corr, cfg, 21)
+        children = np.random.SeedSequence(21).spawn(m.n)
+        for j in range(m.n):
+            values, eliminated = reference_share(m.row(j), order, corr, cfg, children[j])
+            seq = perturb_sequence(m.row(j), order, corr, cfg, children[j])
+            assert np.array_equal(seq.values, values) and np.array_equal(seq.eliminated, eliminated)
+            assert np.array_equal(share.values[j], values), f"row {j}"
+            assert np.array_equal(share.eliminated[j], eliminated), f"row {j}"
 
 
 def test_branch_tables_agree_with_sharing_probs():
@@ -279,15 +301,6 @@ def test_branch_tables_agree_with_sharing_probs():
             expect, _ = sharing_probs(x, elim, cfg.params, cfg.mode)
             assert probs[x, bits] == pytest.approx([float(v) for v in expect])
             assert cum[x, bits, 2] == pytest.approx(1.0)
-
-
-def test_classify_ineliminable():
-    o = lambda elim: type("O", (), {"eliminated": frozenset(elim)})()
-    row = [2, 0, 1]
-    outcomes = [o({0, 1}), o({0, 1}), o(set())]
-    # SNP 0: survivor 2 == truth -> flagged; SNP 1: survivor 2 != truth 0;
-    # SNP 2: three survivors
-    assert classify_ineliminable(row, outcomes) == [True, False, False]
 
 
 def test_sequence_validates_inputs():

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from support import custom_corr, reference_optimal_value, uniform_corr
+from support import MdpSpec, custom_corr, reference_greedy, reference_optimal_value, uniform_corr
 
 from corrldp.data import SyntheticSpec, compute_correlation_model, generate_synthetic_population
 from corrldp.mechanism import MechanismConfig, SharingMode, perturb_sequence
 from corrldp.ordering import (
     BRUTE_FORCE_MAX_SNPS,
     EXACT_METHOD_MAX_SNPS,
-    MdpSpec,
     brute_force_order,
     expected_utility_of_order,
     greedy_order,
@@ -252,6 +251,29 @@ def test_greedy_share_is_replayable():
         )
         assert np.array_equal(seq.values, replay.values)
         assert seq.order == replay.order == order
+
+
+def test_greedy_share_matches_reference_greedy():
+    m = generate_synthetic_population(SyntheticSpec(n=12, l=15, maf=0.3, rho=0.85), 504)
+    corr = compute_correlation_model(m)
+    configs = (
+        MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4),
+        MechanismConfig(epsilon=0.6, tau_hat=0.25, gamma_hat=0.3, mode=SharingMode.PLAIN),
+        MechanismConfig(epsilon=1.5, tau_hat=0.15, gamma_hat=0.01),
+    )
+    for seed in range(6):
+        cfg = configs[seed % 3]
+        order, seq = greedy_share(m.row(seed), corr, cfg, seed)
+        ref_order, ref_values = reference_greedy(m.row(seed), corr, cfg, seed)
+        assert order == seq.order == ref_order, f"seed {seed}"
+        assert np.array_equal(seq.values, ref_values), f"seed {seed}"
+    # an all-tie row: every pick comes from the tie stream
+    corr = uniform_corr(6)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.5)
+    for seed in range(5):
+        order, seq = greedy_share([2] * 6, corr, cfg, seed)
+        ref_order, ref_values = reference_greedy([2] * 6, corr, cfg, seed)
+        assert order == ref_order and np.array_equal(seq.values, ref_values)
 
 
 def test_perturb_with_policy_follows_policy():
