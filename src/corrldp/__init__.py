@@ -96,4 +96,30 @@ from .rr import FrequencyEstimate, PerturbParams, rr_estimate_frequencies, rr_pa
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AttackConfig", "AttackerBelief", "attack", "attack_population",
+    "estimation_error", "population_estimation_error", "recover_possible_inputs",
+    "rr_belief_population", "rr_postprocess", "rr_postprocess_population",
+    "AccuracyReport", "BeaconAnswer", "DecisionRule", "beacon_accuracy",
+    "beacon_response", "per_snp_expected_utility", "rr_beacon_decision",
+    "NUM_STATES", "STATES", "CorrelationModel", "GenotypeError", "GenotypeMatrix",
+    "GenotypeParseError", "SyntheticSpec", "as_seed_sequence",
+    "compute_correlation_model", "generate_synthetic_population",
+    "hardy_weinberg_triple", "load_genotype_matrix", "save_genotype_matrix",
+    "ExperimentConfig", "ExperimentResult", "OrderStrategy", "TrialResult",
+    "run_experiment", "run_single_trial", "write_results",
+    "FamilyShape", "FamilyState", "ShareRecord", "indirect_budget_one_child",
+    "indirect_budget_two_children", "max_budget_general", "max_budget_one_child",
+    "max_budget_second_child", "posterior_parent_given_share",
+    "posterior_parent_given_two_shares", "select_donor_budget",
+    "LeakageQuery", "leakage_upper_bound",
+    "Branch", "MechanismConfig", "PerturbedSequence", "PopulationShare",
+    "SharingMode", "branch_tables", "perturb_population", "perturb_sequence",
+    "sharing_probs",
+    "BRUTE_FORCE_MAX_SNPS", "EXACT_METHOD_MAX_SNPS", "OrderPolicy",
+    "brute_force_order", "expected_utility_of_order", "greedy_order",
+    "greedy_share", "optimal_order_value_iteration", "perturb_with_policy",
+    "random_order",
+    "FrequencyEstimate", "PerturbParams", "rr_estimate_frequencies", "rr_params",
+    "rr_perturb",
+]

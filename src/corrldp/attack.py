@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import STATES, CorrelationModel, _as_genotype_array
+from .data import CorrelationModel, _as_genotype_array
 from .mechanism import _fixed_order, _sequential_share, _validate_order
 from .rr import rr_params
 
@@ -180,56 +180,57 @@ def population_estimation_error(belief: AttackerBelief, truth_matrix) -> float:
 def rr_postprocess(
     y, corr: CorrelationModel, tau: float, gamma: float, max_sweeps: int = 3
 ) -> np.ndarray:
-    """Rewrite a randomized-response row so it passes the consistency check.
-
-    Sweeps the row in index order; where the reported value is ruled out by
-    the attack-style count over the other current reports, it is replaced by
-    the surviving state with the highest average defined conditional given
-    those reports (lowest state on ties; left alone if nothing survives).
-    Stops when a sweep changes nothing or after ``max_sweeps`` sweeps.
-    """
-    y = _as_genotype_array(y, "reported values").copy()
-    l = y.size
-    if corr.l != l:
-        raise ValueError(f"correlation model covers {corr.l} SNPs, row has {l}")
-    low = corr.low_mask(tau)
-    cond = corr.cond
-    defined = ~np.isnan(cond)
-    idx = np.arange(l)
-    defined_od = defined.copy()
-    defined_od[idx, idx] = False  # exclude self-pairs from averages
-    cond_filled = np.where(defined_od, cond, 0.0)
-    low_int = low.astype(np.int32)
-    threshold = gamma * l
-
-    for _ in range(max_sweeps):
-        changed = False
-        # counts[i, v] = #{k : report k rules out state v of SNP i}; the
-        # diagonal of the low-mask is clear, so self-pairs contribute nothing
-        counts = low[:, idx, :, y].sum(axis=0)
-        for i in range(l):
-            ruled_out = counts[i] >= threshold
-            if not ruled_out[y[i]]:
-                continue
-            survivors = [v for v in STATES if not ruled_out[v]]
-            if not survivors:
-                continue
-            sums = cond_filled[i][idx, :, y].sum(axis=0)
-            support = defined_od[i][idx, :, y].sum(axis=0)
-            means = np.where(support > 0, sums / np.maximum(support, 1), -1.0)
-            best = max(survivors, key=lambda v: (means[v], -v))
-            if best != y[i]:
-                counts += low_int[:, i, :, best] - low_int[:, i, :, y[i]]
-                y[i] = best
-                changed = True
-        if not changed:
-            break
-    return y
+    """Rewrite one randomized-response row; see rr_postprocess_population."""
+    y = _as_genotype_array(y, "reported values")
+    if y.ndim != 1:
+        raise ValueError(f"reported row must be 1-D, got shape {y.shape}")
+    return rr_postprocess_population(y[None, :], corr, tau, gamma, max_sweeps)[0]
 
 
 def rr_postprocess_population(
     Y, corr: CorrelationModel, tau: float, gamma: float, max_sweeps: int = 3
 ) -> np.ndarray:
-    """Row-by-row rr_postprocess over a matrix."""
-    Y = np.atleast_2d(_as_genotype_array(Y, "reported values"))
-    return np.stack([rr_postprocess(Y[j], corr, tau, gamma, max_sweeps) for j in range(Y.shape[0])])
+    """Rewrite randomized-response rows so they pass the consistency check.
+
+    Each sweep visits the SNPs in index order, for all rows at once; where a
+    row's reported value is ruled out by the attack-style count over that
+    row's other current reports, it is replaced by the surviving state with
+    the highest average defined conditional given those reports (lowest
+    state on ties; left alone if nothing survives).  Stops when a sweep
+    changes no row or after ``max_sweeps`` sweeps: a row that a sweep leaves
+    unchanged is at a fixed point, so further sweeps leave it alone too.
+    Returns an int8 (n, l) matrix.
+    """
+    Y = np.atleast_2d(_as_genotype_array(Y, "reported values")).copy()
+    n, l = Y.shape
+    if corr.l != l:
+        raise ValueError(f"correlation model covers {corr.l} SNPs, data has {l}")
+    low = corr.low_mask(tau)
+    idx = np.arange(l)
+    defined = ~np.isnan(corr.cond)
+    defined[idx, idx] = False  # exclude self-pairs from averages
+    cond_filled = np.where(defined, corr.cond, 0.0)
+    threshold = gamma * l
+
+    for _ in range(max_sweeps):
+        changed = False
+        counts = _attack_counts(Y, corr, tau)  # (n, l, 3)
+        for i in range(l):
+            ruled_out = counts[:, i] >= threshold  # (n, 3)
+            rows = np.flatnonzero(ruled_out[np.arange(n), Y[:, i]] & ~ruled_out.all(axis=1))
+            if rows.size == 0:
+                continue
+            reports = Y[rows]
+            # a sequential sum over k, not a matmul: the order of the float
+            # additions decides ties between states
+            sums = cond_filled[i][idx, :, reports].sum(axis=1)
+            support = defined[i][idx, :, reports].sum(axis=1)
+            means = np.where(support > 0, sums / np.maximum(support, 1), -1.0)
+            means[ruled_out[rows]] = -np.inf
+            best = means.argmax(axis=1)  # a survivor, so never the ruled-out report
+            counts[rows] += low[:, i, :, best].astype(np.int32) - low[:, i, :, Y[rows, i]]
+            Y[rows, i] = best
+            changed = True
+        if not changed:
+            break
+    return Y

@@ -43,12 +43,15 @@ def beacon_response(column) -> BeaconAnswer:
     return BeaconAnswer.YES if np.any(col > 0) else BeaconAnswer.NO
 
 
+def _rr_estimated_yes(values: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per column of ``values``: Yes unless the zero count reaches n * p."""
+    return np.sum(values == 0, axis=0) < values.shape[0] * rr_params(epsilon).p
+
+
 def rr_beacon_decision(column, epsilon: float) -> BeaconAnswer:
     """No iff the reported zero count reaches n * p for budget epsilon."""
     col = _as_genotype_array(column, "column")
-    params = rr_params(epsilon)
-    zeros = int(np.sum(col == 0))
-    return BeaconAnswer.NO if zeros >= col.size * params.p else BeaconAnswer.YES
+    return BeaconAnswer.YES if _rr_estimated_yes(col, epsilon) else BeaconAnswer.NO
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,7 @@ def beacon_accuracy(
     if rule is DecisionRule.RR_ESTIMATED:
         if epsilon is None:
             raise ValueError("RR_ESTIMATED needs the randomized-response epsilon")
-        params = rr_params(epsilon)
-        zero_threshold = original.n * params.p
-        answers = np.sum(perturbed.values == 0, axis=0) < zero_threshold
+        answers = _rr_estimated_yes(perturbed.values, epsilon)
     else:
         answers = np.any(perturbed.values > 0, axis=0)
     truth = np.any(original.values > 0, axis=0)

@@ -50,7 +50,7 @@ from .kinship import (
     max_budget_second_child,
 )
 from .leakage import LeakageQuery, leakage_upper_bound
-from .mechanism import MechanismConfig, SharingMode, perturb_population
+from .mechanism import MechanismConfig, SharingMode, _validate_order, perturb_population
 from .ordering import (
     expected_utility_of_order,
     greedy_share,
@@ -103,6 +103,8 @@ def _cmd_perturb(args) -> int:
     matrix = load_genotype_matrix(args.data)
     seed = np.random.SeedSequence(args.seed)
     if args.mechanism == "rr":
+        if args.order_out:
+            raise ValueError("--order-out needs --mechanism proposed")
         out = rr_perturb(matrix, args.epsilon, seed)
     else:
         corr = _load_corr(args, matrix)
@@ -113,24 +115,45 @@ def _cmd_perturb(args) -> int:
         order_seed, noise_seed = seed.spawn(2)
         order = random_order(matrix.l, order_seed)
         out = perturb_population(matrix, order, corr, config, noise_seed).matrix()
+        if args.order_out:
+            Path(args.order_out).write_text(" ".join(str(i) for i in order) + "\n", encoding="utf-8")
+            print(f"wrote {args.order_out}")
     save_genotype_matrix(out, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
+def _read_order(path, l: int) -> tuple[int, ...]:
+    """A processing order written by ``perturb --order-out``."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        order = [int(token) for token in text.split()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: an order is space-separated SNP indices") from exc
+    return _validate_order(order, l)
+
+
 def _cmd_attack(args) -> int:
     reported = load_genotype_matrix(args.data)
     corr = CorrelationModel.from_json(args.corr)
-    known = None
+    known = order = None
     if args.tau_hat is not None or args.gamma_hat is not None:
         if args.tau_hat is None or args.gamma_hat is None:
             raise ValueError("--tau-hat and --gamma-hat must be given together")
+        if args.order is None:
+            raise ValueError(
+                "--tau-hat/--gamma-hat replay the mechanism and need the order it "
+                "shared in: pass --order FILE (written by perturb --order-out)"
+            )
         known = (args.tau_hat, args.gamma_hat)
+        order = _read_order(args.order, reported.l)
+    elif args.order is not None:
+        raise ValueError("--order is only used by the replay; give --tau-hat and --gamma-hat")
     config = AttackConfig(
         epsilon_known=args.epsilon, tau=args.tau, gamma=args.gamma,
         mechanism_params_known=known,
     )
-    belief = attack_population(reported.values, corr, config)
+    belief = attack_population(reported.values, corr, config, assumed_order=order)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "snp", "p0", "p1", "p2", "elim0", "elim1", "elim2", "fallback"])
@@ -309,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", choices=["rr", "proposed"], default="proposed")
     _add_mechanism_flags(p)
     p.add_argument("--order", choices=["random"], default="random")
+    p.add_argument("--order-out", help="write the processing order used (proposed mechanism)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_perturb)
@@ -321,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.5, help="attacker elimination fraction")
     p.add_argument("--tau-hat", type=float, help="mechanism threshold, if known to the attacker")
     p.add_argument("--gamma-hat", type=float, help="mechanism fraction, if known to the attacker")
+    p.add_argument("--order", help="processing order file from perturb --order-out (for the replay)")
     p.add_argument("--out", required=True, help="belief CSV path")
     p.set_defaults(func=_cmd_attack)
 

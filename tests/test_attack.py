@@ -297,3 +297,77 @@ def test_postprocess_reruns_are_stable_once_converged():
         converged += 1
         assert np.array_equal(rr_postprocess(once, corr, 0.12, 0.3, max_sweeps=10), once)
     assert converged >= 5
+
+
+def _sweeps_to_converge(y, corr, tau, gamma, cap=10):
+    """Fewest sweeps after which the reference stops changing the row."""
+    final = _postprocess_reference(y, corr, tau, gamma, max_sweeps=cap)
+    for sweeps in range(cap + 1):
+        if np.array_equal(_postprocess_reference(y, corr, tau, gamma, max_sweeps=sweeps), final):
+            return sweeps
+    return cap
+
+
+@pytest.mark.parametrize("n, l, data_seed", [(12, 9, 0), (8, 16, 1), (20, 5, 2), (5, 24, 3)])
+def test_postprocess_population_matches_reference_row_by_row(n, l, data_seed):
+    m = generate_synthetic_population(SyntheticSpec(n=40, l=l, maf=0.25, rho=0.9), 200 + data_seed)
+    corr = compute_correlation_model(m)
+    Y = np.random.default_rng(data_seed).integers(0, 3, size=(n, l))
+    for tau, gamma in ((0.12, 0.3), (0.2, 0.15)):
+        for max_sweeps in (1, 3, 10):
+            pop = rr_postprocess_population(Y, corr, tau, gamma, max_sweeps)
+            assert pop.dtype == np.int8 and pop.shape == (n, l)
+            for j in range(n):
+                want = _postprocess_reference(Y[j], corr, tau, gamma, max_sweeps)
+                assert np.array_equal(pop[j], want), f"{tau} {gamma} sweeps {max_sweeps} row {j}"
+
+
+def test_postprocess_population_rows_converging_in_different_sweeps():
+    m = generate_synthetic_population(SyntheticSpec(n=40, l=12, maf=0.25, rho=0.9), 7)
+    corr = compute_correlation_model(m)
+    Y = np.random.default_rng(7).integers(0, 3, size=(30, 12))
+    sweeps = {_sweeps_to_converge(Y[j], corr, 0.12, 0.15) for j in range(30)}
+    assert 0 in sweeps and max(sweeps) >= 3 and len(sweeps) >= 3  # rows stop at different sweeps
+    for max_sweeps in (1, 3, 10):
+        pop = rr_postprocess_population(Y, corr, 0.12, 0.15, max_sweeps)
+        for j in range(30):
+            assert np.array_equal(pop[j], _postprocess_reference(Y[j], corr, 0.12, 0.15, max_sweeps))
+
+
+def test_postprocess_population_leaves_cells_with_no_survivor():
+    # with threshold gamma * l = 1, report 0 at SNP 1 rules out states 0 and 1
+    # of SNP 0 and report 0 at SNP 2 rules out 1 and 2: nothing survives in
+    # row 0, so its report stays; in row 1 SNP 2 reports 1, state 2 survives
+    corr = custom_corr(
+        3, {(0, 1, 0): (0.001, 0.001, 0.998), (0, 2, 0): (0.998, 0.001, 0.001)}
+    )
+    Y = np.array([[0, 0, 0], [0, 0, 1]])
+    out = rr_postprocess_population(Y, corr, 0.02, 1 / 3)
+    assert out.tolist() == [[0, 0, 0], [2, 0, 1]]
+    # gamma = 0 rules out every state of every cell: nothing changes
+    m = generate_synthetic_population(SyntheticSpec(n=20, l=6, maf=0.3, rho=0.9), 1)
+    Y = np.random.default_rng(4).integers(0, 3, size=(7, 6))
+    assert np.array_equal(rr_postprocess_population(Y, compute_correlation_model(m), 0.2, 0.0), Y)
+
+
+def test_postprocess_population_tie_prefers_lower_state():
+    # report 0 at SNP 0 leaves 1 and 2 tied; report 1 leaves 0 and 2 tied;
+    # report 2 is not ruled out
+    corr = custom_corr(
+        2, {(0, 1, 0): (0.001, 0.4995, 0.4995), (0, 1, 1): (0.4995, 0.001, 0.4995)}
+    )
+    Y = np.array([[0, 0], [1, 1], [2, 0], [0, 0]])
+    out = rr_postprocess_population(Y, corr, 0.02, 0.5)
+    assert out.tolist() == [[1, 0], [0, 1], [2, 0], [1, 0]]
+
+
+def test_postprocess_empty_matrix_and_model_size():
+    corr = uniform_corr(4)
+    out = rr_postprocess_population(np.zeros((0, 4), dtype=int), corr, 0.2, 0.5)
+    assert out.shape == (0, 4) and out.dtype == np.int8
+    with pytest.raises(ValueError, match="correlation model covers 4 SNPs"):
+        rr_postprocess_population(np.zeros((2, 3), dtype=int), corr, 0.2, 0.5)
+    with pytest.raises(ValueError, match="correlation model covers 4 SNPs"):
+        rr_postprocess(np.zeros(5, dtype=int), corr, 0.2, 0.5)
+    with pytest.raises(ValueError, match="1-D"):
+        rr_postprocess(np.zeros((1, 4), dtype=int), corr, 0.2, 0.5)

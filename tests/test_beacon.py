@@ -150,3 +150,16 @@ def test_utility_bounds(x, epsilon, elim):
     probs, _ = sharing_probs(x, elim, rr_params(epsilon), SharingMode.BEACON)
     u = per_snp_expected_utility(x, probs)
     assert 0.0 <= u <= 1.0 + 1e-12
+
+
+def test_rr_estimated_accuracy_applies_the_column_decision():
+    rng = np.random.default_rng(3)
+    original = GenotypeMatrix(np.ones((40, 25), dtype=int))  # every truth answer is Yes
+    for epsilon in (0.0, LN2, 1.5):
+        # the share of zeros grows across the columns, so both answers occur
+        zero = rng.random((40, 25)) < np.linspace(0.1, 0.95, 25)
+        perturbed = GenotypeMatrix(np.where(zero, 0, rng.integers(1, 3, size=(40, 25))))
+        report = beacon_accuracy(original, perturbed, DecisionRule.RR_ESTIMATED, epsilon=epsilon)
+        yes = [rr_beacon_decision(perturbed.column(i), epsilon) is BeaconAnswer.YES for i in range(25)]
+        assert 0 < sum(yes) < 25
+        assert report.preserved == sum(yes)

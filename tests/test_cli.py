@@ -126,6 +126,68 @@ def test_attack_writes_normalized_beliefs(tmp_path, capsys):
                 assert float(record[f"p{v}"]) == 0.0
 
 
+def _reported_values_ruled_out(beliefs, reported):
+    """Cells outside fallback whose reported value the belief CSV rules out."""
+    values = load_genotype_matrix(reported).values
+    with open(beliefs, newline="") as fh:
+        return sum(
+            record["fallback"] == "0"
+            and record[f"elim{values[int(record['row']), int(record['snp'])]}"] == "1"
+            for record in csv.DictReader(fh)
+        )
+
+
+def test_attack_replay_under_the_perturb_order(tmp_path, capsys):
+    data = _gen(tmp_path, capsys, n=40, l=30)
+    corr, reported, order = tmp_path / "model.json", tmp_path / "reported.txt", tmp_path / "order.txt"
+    run_cli(["corr", "--data", str(data), "--out", str(corr)], capsys)
+    code, stdout, _ = run_cli(
+        ["perturb", "--data", str(data), "--corr", str(corr), "--epsilon", "1.0",
+         "--tau-hat", "0.2", "--gamma-hat", "0.4", "--seed", "4", "--out", str(reported),
+         "--order-out", str(order)],
+        capsys,
+    )
+    assert code == 0 and f"wrote {order}" in stdout
+    assert sorted(int(i) for i in order.read_text().split()) == list(range(30))
+    # gamma 1 switches the attacker's own eliminations off, leaving the replay
+    replay = ["attack", "--data", str(reported), "--corr", str(corr), "--epsilon", "1.0",
+              "--gamma", "1.0", "--tau-hat", "0.2", "--gamma-hat", "0.4"]
+    beliefs = tmp_path / "beliefs.csv"
+    code, _, err = run_cli(replay + ["--order", str(order), "--out", str(beliefs)], capsys)
+    assert code == 0 and err == ""
+    assert _reported_values_ruled_out(beliefs, reported) == 0
+    # the same replay under the identity order rules out values that were reported
+    identity = tmp_path / "identity.txt"
+    identity.write_text(" ".join(str(i) for i in range(30)) + "\n")
+    code, _, _ = run_cli(replay + ["--order", str(identity), "--out", str(beliefs)], capsys)
+    assert code == 0 and _reported_values_ruled_out(beliefs, reported) > 0
+
+
+def test_attack_order_flag_errors(tmp_path, capsys):
+    data = _gen(tmp_path, capsys)
+    corr, reported = tmp_path / "model.json", tmp_path / "reported.txt"
+    run_cli(["corr", "--data", str(data), "--out", str(corr)], capsys)
+    run_cli(["perturb", "--data", str(data), "--epsilon", "1.0", "--out", str(reported)], capsys)
+    base = ["attack", "--data", str(reported), "--corr", str(corr), "--epsilon", "1.0",
+            "--out", str(tmp_path / "beliefs.csv")]
+    known = ["--tau-hat", "0.2", "--gamma-hat", "0.5"]
+    code, _, err = run_cli(base + known, capsys)
+    assert code == 2 and "--order" in err
+    for name, text in (("word.txt", "0 1 x 3 4"), ("short.txt", "0 1 2"), ("twice.txt", "0 0 1 2 3")):
+        (tmp_path / name).write_text(text)
+        code, _, err = run_cli(base + known + ["--order", str(tmp_path / name)], capsys)
+        assert code == 2 and "usage error" in err, name
+    (tmp_path / "good.txt").write_text("4 3 2 1 0\n")
+    code, _, err = run_cli(base + ["--order", str(tmp_path / "good.txt")], capsys)
+    assert code == 2 and "--tau-hat" in err
+    code, _, err = run_cli(
+        ["perturb", "--data", str(data), "--mechanism", "rr", "--epsilon", "1.0",
+         "--out", str(tmp_path / "rr.txt"), "--order-out", str(tmp_path / "o.txt")],
+        capsys,
+    )
+    assert code == 2 and "--order-out" in err
+
+
 def test_eval_reports_scores_and_belief_error(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
     corr = tmp_path / "model.json"
