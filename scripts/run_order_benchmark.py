@@ -3,7 +3,7 @@
 
 For each seed this builds a small population, fits the pairwise correlation
 model, and compares three ways of choosing the disclosure order for one row:
-the exact adaptive optimum (value iteration), the one-step greedy heuristic,
+the exact adaptive optimum (backward induction), the one-step greedy heuristic,
 and a uniformly random order.  It reports mean per-SNP utility gaps with 95%
 confidence intervals.
 """

@@ -99,8 +99,9 @@ def attack_population(
     """Attack every row of a reported matrix at once.
 
     When the config carries the mechanism's (tau_hat, gamma_hat), states the
-    mechanism could not have reported under ``assumed_order`` (identity by
-    default) are additionally ruled out before renormalizing.
+    mechanism could not have reported under ``assumed_order`` (one order for
+    every row or one per row; identity by default) are additionally ruled
+    out before renormalizing.
     """
     Y = np.atleast_2d(_as_genotype_array(Y, "reported values"))
     l = Y.shape[1]
@@ -136,22 +137,23 @@ def recover_possible_inputs(
     """Replay the mechanism's elimination rule on reported values.
 
     ``y`` is one reported row of length l, or an (n, l) matrix whose rows
-    were all shared in ``order``.  Returns a boolean array, (l, 3) or
-    (n, l, 3), of states the mechanism could still have reported at each
-    SNP.  With the true parameters and the true processing order this
-    reproduces the mechanism's own elimination outcomes exactly, because
-    those depended only on the shared values.  ``order`` defaults to the
-    identity order.
+    were shared in ``order``: one order (l,) for every row, or (n, l), one
+    per row.  Returns a boolean array, (l, 3) or (n, l, 3), of states the
+    mechanism could still have reported at each SNP.  With the true
+    parameters and the true processing orders this reproduces the
+    mechanism's own elimination outcomes exactly, because those depended
+    only on the shared values.  ``order`` defaults to the identity order.
     """
     Y = _as_genotype_array(y, "reported values")
     if Y.ndim not in (1, 2):
         raise ValueError(f"reported values must be a row or a matrix, got shape {Y.shape}")
-    l = Y.shape[-1]
-    order = _validate_order(range(l) if order is None else order, l)
+    Y2 = np.atleast_2d(Y)
+    l = Y2.shape[1]
+    order = _validate_order(range(l) if order is None else order, l, rows=Y2.shape[0])
     if not math.isfinite(gamma_hat) or gamma_hat <= 0:
         raise ValueError(f"gamma_hat must be finite and > 0, got {gamma_hat}")
     _, eliminated, _ = _sequential_share(
-        corr.low_mask(tau_hat), gamma_hat, _fixed_order(order), reports=np.atleast_2d(Y)
+        corr.low_mask(tau_hat), gamma_hat, _fixed_order(order), reports=Y2
     )
     return np.logical_not(eliminated, out=eliminated).reshape(Y.shape + (3,))
 

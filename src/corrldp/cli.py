@@ -35,6 +35,7 @@ from .data import (
     GenotypeMatrix,
     GenotypeParseError,
     SyntheticSpec,
+    child_seeds,
     compute_correlation_model,
     generate_synthetic_population,
     load_genotype_matrix,
@@ -112,7 +113,7 @@ def _cmd_perturb(args) -> int:
             epsilon=args.epsilon, tau_hat=args.tau_hat, gamma_hat=args.gamma_hat,
             mode=_mode(args.mode),
         )
-        order_seed, noise_seed = seed.spawn(2)
+        order_seed, noise_seed = child_seeds(seed, 2)
         order = random_order(matrix.l, order_seed)
         out = perturb_population(matrix, order, corr, config, noise_seed).matrix()
         if args.order_out:

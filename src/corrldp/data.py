@@ -192,6 +192,17 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
+    """The n children a fresh ``seed.spawn(n)`` gives (spawn keys extended by
+    0..n-1), derived without advancing the parent, so reusing a SeedSequence
+    gives the same children every time."""
+    ss = as_seed_sequence(seed)
+    return [
+        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (j,), pool_size=ss.pool_size)
+        for j in range(n)
+    ]
+
+
 def generate_synthetic_population(spec: SyntheticSpec, seed) -> GenotypeMatrix:
     """Draw a synthetic genotype matrix; identical seeds give identical matrices."""
     rng = np.random.default_rng(as_seed_sequence(seed))

@@ -39,9 +39,7 @@ import numpy as np
 
 from .attack import (
     AttackConfig,
-    attack,
     attack_population,
-    estimation_error,
     population_estimation_error,
     rr_belief_population,
     rr_postprocess_population,
@@ -50,15 +48,16 @@ from .beacon import AccuracyReport, DecisionRule, beacon_accuracy
 from .data import (
     GenotypeMatrix,
     SyntheticSpec,
+    child_seeds,
     compute_correlation_model,
     generate_synthetic_population,
     load_genotype_matrix,
 )
 from .mechanism import MechanismConfig, SharingMode, perturb_population
 from .ordering import (
-    greedy_share,
-    optimal_order_value_iteration,
-    perturb_with_policy,
+    EXACT_METHOD_MAX_SNPS,
+    _greedy_rows,
+    _optimal_rows,
     random_order,
 )
 from .rr import rr_perturb
@@ -174,37 +173,27 @@ def _perturb_proposed(
     mech_config: MechanismConfig,
     epsilon: float,
     trial: int,
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+) -> tuple[np.ndarray, tuple[int, ...] | np.ndarray]:
     """Share the whole population with the configured ordering strategy.
 
-    Returns the reported matrix and each row's processing order.
+    Returns the reported matrix and the processing order: one for every row
+    under the random strategy, an (n, l) array of per-row orders otherwise.
     """
     ek = _eps_key(epsilon)
     mech_seed = _sub_seed(config.seed, trial, _MECH_PURPOSE, ek)
     if config.order_strategy is OrderStrategy.RANDOM:
         order = random_order(matrix.l, _sub_seed(config.seed, trial, _ORDER_PURPOSE, ek))
-        share = perturb_population(matrix, order, corr, mech_config, mech_seed)
-        return share.values, [order] * matrix.n
-
-    children = mech_seed.spawn(matrix.n)
-    values = np.empty((matrix.n, matrix.l), dtype=np.int8)
-    orders: list[tuple[int, ...]] = []
-    try:
-        for j in range(matrix.n):
-            if config.order_strategy is OrderStrategy.GREEDY:
-                order, seq = greedy_share(matrix.row(j), corr, mech_config, children[j])
-            else:
-                policy, _ = optimal_order_value_iteration(matrix.row(j), corr, mech_config)
-                seq = perturb_with_policy(matrix.row(j), policy, corr, mech_config, children[j])
-                order = seq.order
-            values[j] = seq.values
-            orders.append(tuple(order))
-    except ValueError as exc:
-        if "supports at most" in str(exc):
-            raise ValueError(
-                f"{exc}; switch the ordering strategy to random or greedy for this size"
-            ) from exc
-        raise
+        return perturb_population(matrix, order, corr, mech_config, mech_seed).values, order
+    row_seeds = child_seeds(mech_seed, matrix.n)
+    if config.order_strategy is OrderStrategy.GREEDY:
+        values, _, orders = _greedy_rows(matrix.values, corr, mech_config, row_seeds)
+        return values, orders
+    if matrix.l > EXACT_METHOD_MAX_SNPS:
+        raise ValueError(
+            f"exact solve supports at most {EXACT_METHOD_MAX_SNPS} SNPs, got {matrix.l}; "
+            "switch the ordering strategy to random or greedy for this size"
+        )
+    values, _, orders = _optimal_rows(matrix.values, corr, mech_config, row_seeds)
     return values, orders
 
 
@@ -230,7 +219,7 @@ def run_single_trial(config: ExperimentConfig, epsilon: float, trial: int) -> Tr
 
     rr_matrix = rr_perturb(matrix, epsilon, _sub_seed(config.seed, trial, _RR_PURPOSE, ek))
     Y_rr = rr_matrix.values
-    prop_values, prop_orders = _perturb_proposed(
+    prop_values, prop_order = _perturb_proposed(
         config, matrix, corr, mech_config, epsilon, trial
     )
 
@@ -241,21 +230,11 @@ def run_single_trial(config: ExperimentConfig, epsilon: float, trial: int) -> Tr
     metrics["e_rr_attack"] = population_estimation_error(
         attack_population(Y_rr, corr, attack_rr), matrix.values
     )
-    if attack_prop.mechanism_params_known is not None and len(set(prop_orders)) > 1:
-        errors = [
-            estimation_error(
-                attack(prop_values[j], corr, attack_prop, assumed_order=prop_orders[j]).probs,
-                matrix.row(j),
-            )
-            for j in range(matrix.n)
-        ]
-        metrics["e_prop_attack"] = float(np.mean(errors))
-    else:
-        assumed = prop_orders[0] if attack_prop.mechanism_params_known is not None else None
-        metrics["e_prop_attack"] = population_estimation_error(
-            attack_population(prop_values, corr, attack_prop, assumed_order=assumed),
-            matrix.values,
-        )
+    assumed = prop_order if config.attacker_knows_mechanism else None
+    metrics["e_prop_attack"] = population_estimation_error(
+        attack_population(prop_values, corr, attack_prop, assumed_order=assumed),
+        matrix.values,
+    )
 
     metrics.update(
         _accuracy_metrics(

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import STATES, CorrelationModel, GenotypeMatrix, _as_genotype_array, as_seed_sequence
+from .data import STATES, CorrelationModel, GenotypeMatrix, _as_genotype_array, child_seeds
 from .rr import PerturbParams, rr_params
 
 
@@ -178,19 +178,39 @@ class PopulationShare:
         return GenotypeMatrix(self.values)
 
 
-# Picks the next SNP from (SNPs shared so far, counters (n, l, 3), values (n, l)).
-_NextSnp = Callable[[list, np.ndarray, np.ndarray], int]
+# Picks the next SNP from (the (n, a - 1) orders so far, counters (n, l, 3),
+# values (n, l)): one index for every row, or an (n,) array of one per row.
+_NextSnp = Callable[[np.ndarray, np.ndarray, np.ndarray], "int | np.ndarray"]
 
 
-def _validate_order(order: Sequence[int], l: int) -> tuple[int, ...]:
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(l)):
-        raise ValueError(f"order must be a permutation of 0..{l - 1}, got {order}")
-    return order
+def _validate_order(order, l: int, rows: int | None = None):
+    """A permutation of 0..l-1, returned as a tuple; when ``rows`` is given,
+    an (rows, l) array of per-row permutations is accepted and returned too."""
+    orders = np.asarray(order)
+    shape = (rows, l) if rows is not None and orders.ndim == 2 else (l,)
+    if orders.dtype.kind not in "iu" or orders.shape != shape:
+        raise ValueError(
+            f"order must be a permutation of 0..{l - 1}, got {orders.dtype} {orders.shape}"
+        )
+    # the first place a row's sorted order leaves 0..l-1 names its first fault
+    ranked = np.sort(orders.reshape(-1, l), axis=1)
+    bad = np.argwhere(ranked != np.arange(l))
+    if bad.size:
+        j, p = bad[0]
+        v = ranked[j, p]
+        fault = (
+            f"{v} is outside 0..{l - 1}" if not 0 <= v < l
+            else f"{v} repeats" if v < p else f"{p} is missing"
+        )
+        where = f" in row {j}" if orders.ndim == 2 else ""
+        raise ValueError(f"order must be a permutation of 0..{l - 1}{where}: index {fault}")
+    return tuple(orders.tolist()) if orders.ndim == 1 else orders
 
 
-def _fixed_order(order: tuple[int, ...]) -> _NextSnp:
-    return lambda taken, counters, values: order[len(taken)]
+def _fixed_order(order) -> _NextSnp:
+    """Share in a validated order: one for every row, or (n, l), one per row."""
+    steps = np.asarray(order).T
+    return lambda taken, counters, values: steps[taken.shape[1]]
 
 
 def _sequential_share(
@@ -202,16 +222,17 @@ def _sequential_share(
     truth: np.ndarray | None = None,
     uniforms: np.ndarray | None = None,
     cum: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mechanism's sequential rule over an (n, l) block of rows.
 
-    At step a (1-based) ``next_snp`` names SNP i, and state v of SNP i is
-    eliminated in every row whose counter for it reaches gamma_hat * a.  The
-    report is then the inverse-CDF draw of ``uniforms[:, a - 1]`` from
-    ``cum[truth[:, i], bits]``, or, when ``reports`` is given, its column i
-    replayed.  Sharing SNP k as b adds one to the counter of every state v of
-    every SNP i with ``low[i, k, v, b]`` set (``low`` is the model's low-mask
-    at tau_hat).  Returns (values, eliminated, order).
+    At step a (1-based) ``next_snp`` names SNP i, for all rows or per row,
+    and state v of a row's SNP i is eliminated when its counter reaches
+    gamma_hat * a.  The report is then the inverse-CDF draw of
+    ``uniforms[:, a - 1]`` from ``cum[truth[:, i], bits]``, or, when
+    ``reports`` is given, the reported value replayed.  Sharing SNP k as b
+    adds one to the row's counter of every state v of every SNP i with
+    ``low[i, k, v, b]`` set (``low`` is the model's low-mask at tau_hat).
+    Returns (values, eliminated, orders), orders being (n, l).
     """
     n, l = (truth if reports is None else reports).shape
     # inc[k, b] is the (l, 3) counter increment caused by sharing SNP k as b
@@ -219,20 +240,24 @@ def _sequential_share(
     counters = np.zeros((n, l, 3), dtype=np.int16)
     values = np.empty((n, l), dtype=np.int8) if reports is None else reports
     eliminated = np.empty((n, l, 3), dtype=bool)
-    order: list[int] = []
+    orders = np.empty((n, l), dtype=np.intp)
+    rows = np.arange(n)
     for a in range(1, l + 1):
-        i = next_snp(order, counters, values)
-        elim = counters[:, i, :] >= gamma_hat * a
+        i = next_snp(orders[:, : a - 1], counters, values)
+        # one SNP for every row indexes its column as a basic slice (cheaper
+        # than a gather); per-row SNPs index cell [j, i[j]] of each row
+        at = (rows, i) if np.ndim(i) else (slice(None), i)
+        elim = counters[at] >= gamma_hat * a
         if reports is None:
-            c = cum[truth[:, i], _elimination_bits(elim)]
+            c = cum[truth[at], _elimination_bits(elim)]
             y = (uniforms[:, a - 1, None] >= c[:, :2]).sum(axis=1).astype(np.int8)
-            values[:, i] = y
+            values[at] = y
         else:
-            y = reports[:, i]
-        eliminated[:, i, :] = elim
+            y = reports[at]
+        eliminated[at] = elim
         counters += inc[i, y]
-        order.append(i)
-    return values, eliminated, tuple(order)
+        orders[:, a - 1] = i
+    return values, eliminated, orders
 
 
 def _as_row(row, corr: CorrelationModel) -> np.ndarray:
@@ -244,18 +269,26 @@ def _as_row(row, corr: CorrelationModel) -> np.ndarray:
     return row
 
 
-def _share_row(
-    row: np.ndarray, next_snp: _NextSnp, corr: CorrelationModel, config: MechanismConfig, rng_seed
-) -> PerturbedSequence:
-    """Share one validated row in the order ``next_snp`` picks, drawing one
-    uniform per step from the seed's own stream."""
+def _share_rows(
+    X: np.ndarray, next_snp: _NextSnp, corr: CorrelationModel, config: MechanismConfig, row_seeds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Share validated rows in the orders ``next_snp`` picks; row j draws one
+    uniform per step from ``row_seeds[j]``'s own stream."""
     cum, _ = branch_tables(config)
-    uniforms = np.random.default_rng(as_seed_sequence(rng_seed)).random((1, row.size))
-    values, eliminated, order = _sequential_share(
+    uniforms = np.empty(X.shape)
+    for j, seed in enumerate(row_seeds):
+        uniforms[j] = np.random.default_rng(seed).random(X.shape[1])
+    return _sequential_share(
         corr.low_mask(config.tau_hat), config.gamma_hat, next_snp,
-        truth=row[None, :], uniforms=uniforms, cum=cum,
+        truth=X, uniforms=uniforms, cum=cum,
     )
-    return PerturbedSequence(values=values[0], order=order, eliminated=eliminated[0])
+
+
+def _first_row(shared: tuple[np.ndarray, np.ndarray, np.ndarray]) -> PerturbedSequence:
+    values, eliminated, orders = shared
+    return PerturbedSequence(
+        values=values[0], order=tuple(orders[0].tolist()), eliminated=eliminated[0]
+    )
 
 
 def perturb_sequence(
@@ -272,7 +305,7 @@ def perturb_sequence(
     """
     row = _as_row(row, corr)
     order = _validate_order(order, row.size)
-    return _share_row(row, _fixed_order(order), corr, config, rng_seed)
+    return _first_row(_share_rows(row[None, :], _fixed_order(order), corr, config, [rng_seed]))
 
 
 def perturb_population(
@@ -283,23 +316,14 @@ def perturb_population(
     rng_seed,
 ) -> PopulationShare:
     """Share every row of a matrix under one order; row j draws its uniforms
-    from the j-th spawned child of the seed (spawn_key=(j,) for an int seed),
-    making the output identical to calling perturb_sequence row by row with
-    those sub-streams."""
+    from the seed's j-th child (see child_seeds), making the output identical
+    to calling perturb_sequence row by row with those sub-streams."""
     X = matrix.values
     n, l = X.shape
     if corr.l != l:
         raise ValueError(f"correlation model covers {corr.l} SNPs, matrix has {l}")
     order = _validate_order(order, l)
-    cum, _ = branch_tables(config)
-
-    children = as_seed_sequence(rng_seed).spawn(n)
-    U = np.empty((n, l))
-    for j in range(n):
-        U[j] = np.random.default_rng(children[j]).random(l)
-
-    values, eliminated, _ = _sequential_share(
-        corr.low_mask(config.tau_hat), config.gamma_hat, _fixed_order(order),
-        truth=X, uniforms=U, cum=cum,
+    values, eliminated, _ = _share_rows(
+        X, _fixed_order(order), corr, config, child_seeds(rng_seed, n)
     )
     return PopulationShare(values=values, eliminated=eliminated, order=order)

@@ -29,13 +29,21 @@ from typing import Sequence
 import numpy as np
 
 from .beacon import per_snp_expected_utility
-from .data import STATES, CorrelationModel, GenotypeMatrix, _as_genotype_array, as_seed_sequence
+from .data import (
+    STATES,
+    CorrelationModel,
+    GenotypeMatrix,
+    _as_genotype_array,
+    as_seed_sequence,
+    child_seeds,
+)
 from .mechanism import (
     MechanismConfig,
     PerturbedSequence,
     _as_row,
     _elimination_bits,
-    _share_row,
+    _first_row,
+    _share_rows,
     _validate_order,
     branch_tables,
     perturb_population,
@@ -79,11 +87,25 @@ _CHUNK_LOWS = sum(1 << (_FIELD * v) for v in STATES)
 
 
 class _ExactSolver:
-    """Backward-induction solver over (remaining set, saturated counters)."""
+    """Backward-induction solver over (remaining set, saturated counters).
 
-    def __init__(self, row: np.ndarray, corr: CorrelationModel, config: MechanismConfig):
+    With a fixed ``order`` the only action at position a is ``order[a - 1]``,
+    so ``value`` is that order's expected utility instead of the optimum.
+    """
+
+    def __init__(
+        self,
+        row: np.ndarray,
+        corr: CorrelationModel,
+        config: MechanismConfig,
+        order: tuple[int, ...] | None = None,
+    ):
         self.row = [int(x) for x in row]
+        self.order = order
         self.l = l = len(self.row)
+        if l > EXACT_METHOD_MAX_SNPS:
+            task = "solve" if order is None else "evaluation"
+            raise ValueError(f"exact {task} supports at most {EXACT_METHOD_MAX_SNPS} SNPs, got {l}")
         _, probs = branch_tables(config)
         util = _utility_table(probs)
         # branches[x][bits]: (expected utility, ((y, P(y)) for each possible y))
@@ -140,12 +162,6 @@ class _ExactSolver:
         saturated = ((cc + self.at_cap) >> _TOP) & self.ones
         return child_mask, cc + (self.delta[snp][y] & self.live[child_mask] & ~saturated)
 
-    def branch(self, counters: int, snp: int, position: int) -> tuple[float, tuple]:
-        """(expected utility, report branches) of sharing ``snp`` at ``position``."""
-        reached = ((counters + self.ge_threshold[position]) >> _TOP) & self.ones
-        bits = _BITS_OF_CHUNK[(reached >> (3 * _FIELD * snp)) & _CHUNK]
-        return self.branches[self.row[snp]][bits]
-
     def value(self, mask: int, counters: int) -> tuple[float, int]:
         """(best expected remaining utility, best next SNP; -1 when done)."""
         if mask == 0:
@@ -154,12 +170,12 @@ class _ExactSolver:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        # child() and branch() inlined: this loop is the solver's hot path
+        # child() inlined: this loop is the solver's hot path
         ones, keep, delta, branches = self.ones, self.keep, self.delta, self.branches
         position = self.l - mask.bit_count() + 1
         reached = ((counters + self.ge_threshold[position]) >> _TOP) & ones
         best_val, best_act = -1.0, -1
-        rest = mask
+        rest = mask if self.order is None else 1 << self.order[position - 1]
         while rest:
             low = rest & -rest
             rest ^= low
@@ -201,6 +217,17 @@ class OrderPolicy:
             raise ValueError("every SNP has already been shared")
         return act
 
+    def _forget_off_policy(self) -> None:
+        """Keep only the solved states that following this policy can reach
+        (about 1% of them at l = 10); action() recomputes others on demand."""
+        solver, kept, todo = self._solver, {}, [self._solver.initial()]
+        while todo:
+            state = todo.pop()
+            if state in solver.memo and state not in kept:
+                kept[state] = solver.memo[state]
+                todo += [solver.child(*state, kept[state][1], y) for y in STATES]
+        solver.memo = kept
+
 
 def optimal_order_value_iteration(
     row, corr: CorrelationModel, config: MechanismConfig
@@ -210,12 +237,7 @@ def optimal_order_value_iteration(
     Returns the policy and its expected total utility.  Ties between SNPs
     resolve to the lowest index.  Capped at EXACT_METHOD_MAX_SNPS.
     """
-    row = _as_row(row, corr)
-    if row.size > EXACT_METHOD_MAX_SNPS:
-        raise ValueError(
-            f"exact solve supports at most {EXACT_METHOD_MAX_SNPS} SNPs, got {row.size}"
-        )
-    solver = _ExactSolver(row, corr, config)
+    solver = _ExactSolver(_as_row(row, corr), corr, config)
     policy = OrderPolicy(solver)
     return policy, policy.expected_utility
 
@@ -247,28 +269,8 @@ def expected_utility_of_order(
         return int(np.count_nonzero((share.values > 0) == (row > 0))) / trials
     if method != "exact":
         raise ValueError(f"method must be 'exact' or 'monte_carlo', got {method!r}")
-    if l > EXACT_METHOD_MAX_SNPS:
-        raise ValueError(f"exact evaluation supports at most {EXACT_METHOD_MAX_SNPS} SNPs")
-    solver = _ExactSolver(row, corr, config)
-    memo: dict[tuple[int, int], float] = {}
-
-    def walk(a: int, mask: int, counters: int) -> float:
-        if a == l:
-            return 0.0
-        key = (a, counters)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        i = order[a]
-        val, report = solver.branch(counters, i, a + 1)
-        for y, p in report:
-            cm, cc = solver.child(mask, counters, i, y)
-            val += p * walk(a + 1, cm, cc)
-        memo[key] = val
-        return val
-
-    m0, c0 = solver.initial()
-    return walk(0, m0, c0)
+    solver = _ExactSolver(row, corr, config, order)
+    return solver.value(*solver.initial())[0]
 
 
 def brute_force_order(
@@ -288,6 +290,34 @@ def brute_force_order(
     return best_order, best_val
 
 
+def _greedy_rows(
+    X: np.ndarray, corr: CorrelationModel, config: MechanismConfig, row_seeds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy-share every row of X at once.  At each step each row picks its
+    unshared SNP with the highest immediate expected utility; ties go
+    uniformly at random from the second child of ``row_seeds[j]``, drawn
+    only when row j has a tie, and reports come from its first child.
+    Returns the kernel's (values, eliminated, orders)."""
+    streams = [child_seeds(seed, 2) for seed in row_seeds]
+    tie_streams = [np.random.default_rng(tie) for _, tie in streams]
+    util = _utility_table(branch_tables(config)[1])
+    unshared = np.ones(X.shape, dtype=bool)
+    rows = np.arange(X.shape[0])
+
+    def next_snp(taken, counters, values) -> np.ndarray:
+        elim = counters >= config.gamma_hat * (taken.shape[1] + 1)
+        gain = np.where(unshared, util[X, _elimination_bits(elim)], -np.inf)
+        ties = gain == gain.max(axis=1, keepdims=True)
+        pick = ties.argmax(axis=1)
+        for j in np.flatnonzero(ties.sum(axis=1) > 1):
+            options = np.flatnonzero(ties[j])
+            pick[j] = options[tie_streams[j].integers(options.size)]
+        unshared[rows, pick] = False
+        return pick
+
+    return _share_rows(X, next_snp, corr, config, [share for share, _ in streams])
+
+
 def greedy_share(
     row, corr: CorrelationModel, config: MechanismConfig, rng_seed
 ) -> tuple[ProcessingOrder, PerturbedSequence]:
@@ -296,26 +326,12 @@ def greedy_share(
     At each step the unshared SNP with the highest immediate expected utility
     is picked (ties uniformly at random from a dedicated sub-stream) and its
     report is sampled before the next pick.  Shares come from the seed's
-    first spawned child (spawn_key=(0,) for an int seed), so
+    first child (spawn_key=(0,) for an int seed), so
     perturb_sequence(row, order, corr, config, SeedSequence(rng_seed,
     spawn_key=(0,))) replays the identical sequence.
     """
     row = _as_row(row, corr)
-    share_ss, tie_ss = as_seed_sequence(rng_seed).spawn(2)
-    tie_stream = np.random.default_rng(tie_ss)
-    util = _utility_table(branch_tables(config)[1])
-    remaining = np.ones(row.size, dtype=bool)
-
-    def next_snp(taken, counters, values) -> int:
-        candidates = np.flatnonzero(remaining)
-        elim = counters[0, candidates] >= config.gamma_hat * (len(taken) + 1)
-        gain = util[row[candidates], _elimination_bits(elim)]
-        ties = candidates[gain == gain.max()]
-        pick = int(ties[0] if ties.size == 1 else ties[tie_stream.integers(ties.size)])
-        remaining[pick] = False
-        return pick
-
-    seq = _share_row(row, next_snp, corr, config, share_ss)
+    seq = _first_row(_greedy_rows(row[None, :], corr, config, [rng_seed]))
     return seq.order, seq
 
 
@@ -326,6 +342,30 @@ def greedy_order(
     return greedy_share(row, corr, config, rng_seed)[0]
 
 
+def _policy_chooser(policies: Sequence[OrderPolicy]):
+    """Row j's next SNP is ``policies[j]``'s action on the row's realized prefix."""
+
+    def next_snp(taken, counters, values) -> np.ndarray:
+        prefixes = np.stack([taken, np.take_along_axis(values, taken, axis=1)], axis=2)
+        return np.array([p.action(prefix) for p, prefix in zip(policies, prefixes.tolist())])
+
+    return next_snp
+
+
+def _optimal_rows(
+    X: np.ndarray, corr: CorrelationModel, config: MechanismConfig, row_seeds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve each row's exact policy, then share every row under its own;
+    returns the kernel's (values, eliminated, orders).  Each policy keeps
+    only its own paths' states, so n of them fit in memory together."""
+    policies = []
+    for row in X:
+        policy, _ = optimal_order_value_iteration(row, corr, config)
+        policy._forget_off_policy()
+        policies.append(policy)
+    return _share_rows(X, _policy_chooser(policies), corr, config, row_seeds)
+
+
 def perturb_with_policy(
     row, policy: OrderPolicy, corr: CorrelationModel, config: MechanismConfig, rng_seed
 ) -> PerturbedSequence:
@@ -333,8 +373,5 @@ def perturb_with_policy(
 
     One uniform per step, same convention as perturb_sequence."""
     row = _as_row(row, corr)
-
-    def next_snp(taken, counters, values) -> int:
-        return policy.action([(k, int(values[0, k])) for k in taken])
-
-    return _share_row(row, next_snp, corr, config, rng_seed)
+    shared = _share_rows(row[None, :], _policy_chooser([policy]), corr, config, [rng_seed])
+    return _first_row(shared)

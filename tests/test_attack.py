@@ -173,6 +173,29 @@ def test_replay_of_a_block_matches_rows_and_mechanism():
         assert np.array_equal(block[j], row), f"row {j}"
 
 
+def test_attack_under_per_row_orders_matches_row_by_row():
+    m = generate_synthetic_population(SyntheticSpec(n=12, l=9, maf=0.3, rho=0.85), 13)
+    corr = compute_correlation_model(m)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.3)
+    orders = np.array([random_order(9, 40 + j) for j in range(12)])
+    values = np.array([
+        perturb_population(m, orders[j], corr, cfg, 5).values[j] for j in range(12)
+    ])
+    known = AttackConfig(epsilon_known=1.0, tau=0.15, gamma=0.4, mechanism_params_known=(0.2, 0.3))
+    block = attack_population(values, corr, known, assumed_order=orders)
+    for j in range(12):
+        row = attack(values[j], corr, known, assumed_order=orders[j])
+        assert np.array_equal(block.probs[j], row.probs), f"row {j}"
+        assert np.array_equal(block.eliminated[j], row.eliminated), f"row {j}"
+        assert np.array_equal(block.fallback[j], row.fallback), f"row {j}"
+    with pytest.raises(ValueError, match=r"int64 \(5, 9\)"):
+        recover_possible_inputs(values, corr, 0.2, 0.3, orders[:5])
+    with pytest.raises(ValueError, match="in row 3"):
+        bad = orders.copy()
+        bad[3, 0] = bad[3, 1]
+        recover_possible_inputs(values, corr, 0.2, 0.3, bad)
+
+
 def test_replay_default_order_is_identity():
     m = generate_synthetic_population(SyntheticSpec(n=3, l=6, maf=0.3, rho=0.9), 3)
     corr = compute_correlation_model(m)

@@ -13,6 +13,7 @@ from corrldp.data import (
     GenotypeMatrix,
     GenotypeParseError,
     SyntheticSpec,
+    child_seeds,
     compute_correlation_model,
     generate_synthetic_population,
     hardy_weinberg_triple,
@@ -101,6 +102,16 @@ def test_synthetic_determinism():
     c = generate_synthetic_population(spec, 8)
     assert a == b
     assert a != c
+
+
+def test_child_seeds_are_a_fresh_spawn_and_leave_the_parent_alone():
+    for parent in (5, np.random.SeedSequence(5, spawn_key=(3, 1)), np.random.SeedSequence(9, pool_size=8)):
+        fresh = parent if isinstance(parent, np.random.SeedSequence) else np.random.SeedSequence(parent)
+        expected = [c.generate_state(4).tolist() for c in np.random.SeedSequence(
+            fresh.entropy, spawn_key=fresh.spawn_key, pool_size=fresh.pool_size).spawn(3)]
+        for _ in range(2):
+            assert [c.generate_state(4).tolist() for c in child_seeds(parent, 3)] == expected
+        assert fresh.n_children_spawned == 0
 
 
 def test_synthetic_independent_frequencies():

@@ -214,3 +214,38 @@ def test_dataset_path_mode(tmp_path):
     # somewhere with overwhelming probability
     assert len(result.results) == 2
     assert result.results[0].metrics != result.results[1].metrics
+
+
+def test_greedy_replay_error_is_the_mean_of_per_row_errors():
+    import numpy as np
+
+    from corrldp import experiments
+    from corrldp.attack import AttackConfig, attack, estimation_error
+    from corrldp.data import child_seeds, compute_correlation_model
+    from corrldp.mechanism import MechanismConfig
+    from corrldp.ordering import greedy_share
+
+    config = _config(
+        trials=1,
+        epsilon_grid=(1.0,),
+        attacker_knows_mechanism=True,
+        order_strategy=OrderStrategy.GREEDY,
+        include_postprocess=False,
+    )
+    result = run_single_trial(config, 1.0, 0)
+    matrix = experiments._load_data(config, 0)
+    corr = compute_correlation_model(matrix)
+    mech = MechanismConfig(1.0, config.tau_hat, config.gamma_hat, config.mode)
+    values, orders = experiments._perturb_proposed(config, matrix, corr, mech, 1.0, 0)
+    assert len({tuple(o) for o in orders}) > 1
+    # each row is what greedy_share gives it on the row's own child seed
+    seeds = child_seeds(experiments._sub_seed(config.seed, 0, experiments._MECH_PURPOSE, 10**6), matrix.n)
+    for j in range(matrix.n):
+        order, seq = greedy_share(matrix.row(j), corr, mech, seeds[j])
+        assert order == tuple(orders[j]) and np.array_equal(seq.values, values[j])
+    known = AttackConfig(1.0, config.tau, config.gamma, (config.tau_hat, config.gamma_hat))
+    errors = [
+        estimation_error(attack(values[j], corr, known, assumed_order=orders[j]).probs, matrix.row(j))
+        for j in range(matrix.n)
+    ]
+    assert abs(result.metrics["e_prop_attack"] - float(np.mean(errors))) <= 1e-12

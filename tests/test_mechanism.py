@@ -23,6 +23,7 @@ from corrldp.mechanism import (
     Branch,
     MechanismConfig,
     SharingMode,
+    _validate_order,
     branch_tables,
     perturb_population,
     perturb_sequence,
@@ -310,3 +311,45 @@ def test_sequence_validates_inputs():
         perturb_sequence([0, 1, 2], (0, 1, 1), corr, cfg, 0)
     with pytest.raises(ValueError, match="covers 3"):
         perturb_sequence([0, 1], (0, 1), corr, cfg, 0)
+
+
+def test_population_share_does_not_depend_on_seed_reuse():
+    m = generate_synthetic_population(SyntheticSpec(n=8, l=10, maf=0.3, rho=0.8), 12)
+    corr = compute_correlation_model(m)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4)
+    seed = np.random.SeedSequence(21)
+    first = perturb_population(m, range(10), corr, cfg, seed)
+    second = perturb_population(m, range(10), corr, cfg, seed)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.values, perturb_population(m, range(10), corr, cfg, 21).values)
+    a = perturb_sequence(m.row(0), range(10), corr, cfg, seed)
+    b = perturb_sequence(m.row(0), range(10), corr, cfg, seed)
+    assert np.array_equal(a.values, b.values)
+
+
+def test_order_errors_name_the_problem_briefly():
+    corr = uniform_corr(1000)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.5)
+    row = [0] * 1000
+    cases = (
+        ([0] * 1000, "index 0 repeats"),
+        (list(range(1, 1000)) + [1000], "index 0 is missing"),
+        (list(range(999)) + [1000], "index 1000 is outside 0..999"),
+        ([-1] + list(range(1, 1000)), "index -1 is outside 0..999"),
+        (list(range(999)), "int64 (999,)"),
+        ([float(i) for i in range(1000)], "float64 (1000,)"),
+    )
+    for order, problem in cases:
+        with pytest.raises(ValueError, match="permutation") as err:
+            perturb_sequence(row, order, corr, cfg, 0)
+        assert problem in str(err.value) and len(str(err.value)) < 200, str(err.value)
+    # per-row orders name the first bad row
+    orders = np.tile(np.arange(6), (4, 1))
+    orders[2, 3] = 0
+    orders[3, 0] = 9
+    with pytest.raises(ValueError, match="in row 2: index 0 repeats"):
+        _validate_order(orders, 6, rows=4)
+    with pytest.raises(ValueError, match=r"\(4, 6\)"):
+        _validate_order(np.tile(np.arange(6), (4, 1)), 6, rows=5)
+    with pytest.raises(ValueError, match=r"\(4, 6\)"):
+        _validate_order(np.tile(np.arange(6), (4, 1)), 6)

@@ -8,11 +8,14 @@ import pytest
 
 from support import MdpSpec, custom_corr, reference_greedy, reference_optimal_value, uniform_corr
 
-from corrldp.data import SyntheticSpec, compute_correlation_model, generate_synthetic_population
+from corrldp.attack import recover_possible_inputs
+from corrldp.data import SyntheticSpec, child_seeds, compute_correlation_model, generate_synthetic_population
 from corrldp.mechanism import MechanismConfig, SharingMode, perturb_sequence
 from corrldp.ordering import (
     BRUTE_FORCE_MAX_SNPS,
     EXACT_METHOD_MAX_SNPS,
+    _greedy_rows,
+    _optimal_rows,
     brute_force_order,
     expected_utility_of_order,
     greedy_order,
@@ -291,3 +294,89 @@ def test_perturb_with_policy_follows_policy():
     for i in a.order:
         assert policy.action(prefix) == i
         prefix.append((i, int(a.values[i])))
+
+
+# --------------------------------------------------------- population orders
+
+
+def _greedy_block(seed, n=10, l=12, rho=0.85):
+    m = generate_synthetic_population(SyntheticSpec(n=n, l=l, maf=0.3, rho=rho), seed)
+    return m.values, compute_correlation_model(m)
+
+
+def test_population_greedy_matches_reference_row_by_row():
+    configs = (
+        MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4),
+        MechanismConfig(epsilon=0.6, tau_hat=0.25, gamma_hat=0.3, mode=SharingMode.PLAIN),
+        MechanismConfig(epsilon=1.5, tau_hat=0.15, gamma_hat=0.01),
+    )
+    for seed in range(6):
+        X, corr = _greedy_block(600 + seed)
+        cfg = configs[seed % 3]
+        seeds = child_seeds(seed, X.shape[0])
+        values, eliminated, orders = _greedy_rows(X, corr, cfg, seeds)
+        for j in range(X.shape[0]):
+            ref_order, ref_values = reference_greedy(X[j], corr, cfg, seeds[j])
+            assert tuple(orders[j]) == ref_order, f"seed {seed} row {j}"
+            assert np.array_equal(values[j], ref_values), f"seed {seed} row {j}"
+            one_order, seq = greedy_share(X[j], corr, cfg, seeds[j])
+            assert one_order == ref_order and np.array_equal(seq.eliminated, eliminated[j])
+
+
+def test_population_greedy_breaks_each_rows_ties_from_its_own_stream():
+    corr = uniform_corr(6)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.5)
+    X = np.array([[2] * 6, [1] * 6, [0, 1, 2, 0, 1, 2], [2] * 6])
+    seeds = child_seeds(9, 4)
+    values, _, orders = _greedy_rows(X, corr, cfg, seeds)
+    for j in range(4):
+        ref_order, ref_values = reference_greedy(X[j], corr, cfg, seeds[j])
+        assert tuple(orders[j]) == ref_order and np.array_equal(values[j], ref_values)
+    # rows 0 and 3 hold the same data but draw their ties from different streams
+    assert tuple(orders[0]) != tuple(orders[3])
+
+
+def test_replay_under_per_row_orders_reproduces_greedy_elimination():
+    X, corr = _greedy_block(700, n=25, l=15)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.3)
+    values, eliminated, orders = _greedy_rows(X, corr, cfg, child_seeds(4, 25))
+    assert len({tuple(o) for o in orders}) > 1
+    possible = recover_possible_inputs(values, corr, 0.2, 0.3, orders)
+    assert np.array_equal(possible, ~eliminated)
+
+
+def test_population_optimal_matches_policy_row_by_row():
+    X, corr = _greedy_block(701, n=6, l=6)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4)
+    seeds = child_seeds(5, 6)
+    values, eliminated, orders = _optimal_rows(X, corr, cfg, seeds)
+    for j in range(6):
+        policy, _ = optimal_order_value_iteration(X[j], corr, cfg)
+        seq = perturb_with_policy(X[j], policy, corr, cfg, seeds[j])
+        assert seq.order == tuple(orders[j]), f"row {j}"
+        assert np.array_equal(seq.values, values[j]) and np.array_equal(seq.eliminated, eliminated[j])
+
+
+def test_forgetting_off_policy_states_keeps_every_action():
+    for row, corr, cfg in _instances(4, l=5, seed0=800):
+        full, value = optimal_order_value_iteration(row, corr, cfg)
+        pruned, _ = optimal_order_value_iteration(row, corr, cfg)
+        pruned._forget_off_policy()
+        assert 0 < len(pruned._solver.memo) < len(full._solver.memo)
+        spec = MdpSpec(row=tuple(int(v) for v in row), corr=corr, config=cfg)
+        assert _reference_policy_value(spec, pruned) == pytest.approx(value, abs=1e-9)
+        # an off-policy prefix is solved again on demand
+        for prefix in (((4, 0),), ((3, 2), (1, 1))):
+            assert pruned.action(prefix) == full.action(prefix)
+
+
+def test_seeded_calls_do_not_depend_on_seed_reuse():
+    X, corr = _greedy_block(702, n=4, l=10)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4)
+    seed = np.random.SeedSequence(17)
+    first_order, first = greedy_share(X[0], corr, cfg, seed)
+    second_order, second = greedy_share(X[0], corr, cfg, seed)
+    assert first_order == second_order and np.array_equal(first.values, second.values)
+    # and a fresh seed gives what the int seed gives
+    int_order, int_seq = greedy_share(X[0], corr, cfg, 17)
+    assert first_order == int_order and np.array_equal(first.values, int_seq.values)
