@@ -21,13 +21,14 @@ failure (the offending path is named), 2 flag/usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
+from . import ordering
 from .attack import AttackConfig, attack_population, population_estimation_error, rr_belief_population
 from .beacon import DecisionRule, beacon_accuracy
 from .data import (
@@ -39,6 +40,7 @@ from .data import (
     compute_correlation_model,
     generate_synthetic_population,
     load_genotype_matrix,
+    repr_each,
     save_genotype_matrix,
 )
 from .experiments import ExperimentConfig, OrderStrategy, _fmt, run_experiment, write_results
@@ -156,29 +158,55 @@ def _cmd_attack(args) -> int:
     )
     belief = attack_population(reported.values, corr, config, assumed_order=order)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "snp", "p0", "p1", "p2", "elim0", "elim1", "elim2", "fallback"])
-        for j in range(reported.n):
-            for i in range(reported.l):
-                writer.writerow(
-                    [j, i]
-                    + [_fmt(belief.probs[j, i, v]) for v in range(3)]
-                    + [int(belief.eliminated[j, i, v]) for v in range(3)]
-                    + [int(belief.fallback[j, i])]
-                )
+        fh.write("row,snp,p0,p1,p2,elim0,elim1,elim2,fallback\n")
+        fh.write(_belief_csv_body(belief.probs, belief.eliminated, belief.fallback))
     print(f"wrote {args.out}")
     return 0
 
 
+def _belief_csv_body(probs: np.ndarray, eliminated: np.ndarray, fallback: np.ndarray) -> str:
+    """One line ``row,snp,p0,p1,p2,elim0,elim1,elim2,fallback`` per cell, rows
+    then SNPs, each probability as its ``repr``."""
+    n, l = fallback.shape
+    pieces = np.empty((n, l, 8), dtype=object)
+    pieces[..., 0] = np.array([f"{j}," for j in range(n)], dtype=object)[:, None]
+    pieces[..., 1] = np.array([f"{i}," for i in range(l)], dtype=object)
+    pieces[..., 2:7:2] = repr_each(probs)
+    pieces[..., 3:7:2] = ","
+    # The four 0/1 flags as one of 16 line endings.
+    flags = np.concatenate([eliminated, fallback[..., None]], axis=2).astype(np.intp)
+    endings = np.array(
+        [f",{c >> 3 & 1},{c >> 2 & 1},{c >> 1 & 1},{c & 1}\n" for c in range(16)], dtype=object
+    )
+    pieces[..., 7] = endings[flags @ np.array([8, 4, 2, 1])]
+    return "".join(pieces.ravel().tolist())
+
+
 def _read_belief_csv(path, n: int, l: int) -> np.ndarray:
-    probs = np.full((n, l, 3), np.nan)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
-            j, i = int(record["row"]), int(record["snp"])
-            if not (0 <= j < n and 0 <= i < l):
-                raise GenotypeParseError(f"{path}: belief row ({j}, {i}) outside {n}x{l}")
-            probs[j, i] = [float(record[f"p{v}"]) for v in range(3)]
+        header = fh.readline().rstrip("\r\n").split(",")
+        try:
+            usecols = [header.index(name) for name in ("row", "snp", "p0", "p1", "p2")]
+        except ValueError:
+            raise GenotypeParseError(
+                f"{path}: belief header must name row, snp, p0, p1 and p2, got {header}"
+            ) from None
+        try:
+            with warnings.catch_warnings():  # a table with no rows fails the cover check below
+                warnings.simplefilter("ignore", UserWarning)
+                records = np.loadtxt(
+                    fh, delimiter=",", usecols=usecols, comments=None, ndmin=1,
+                    dtype=[("row", np.int64), ("snp", np.int64), ("p", np.float64, 3)],
+                )
+        except ValueError as exc:
+            raise GenotypeParseError(f"{path}: malformed belief table: {exc}") from None
+    rows, snps = records["row"], records["snp"]
+    outside = (rows < 0) | (rows >= n) | (snps < 0) | (snps >= l)
+    if outside.any():
+        k = np.argmax(outside)
+        raise GenotypeParseError(f"{path}: belief row ({rows[k]}, {snps[k]}) outside {n}x{l}")
+    probs = np.full((n, l, 3), np.nan)
+    probs[rows, snps] = records["p"]
     if np.isnan(probs).any():
         raise GenotypeParseError(f"{path}: belief table does not cover all {n}x{l} SNPs")
     return probs
@@ -187,6 +215,7 @@ def _read_belief_csv(path, n: int, l: int) -> np.ndarray:
 def _cmd_eval(args) -> int:
     truth = load_genotype_matrix(args.truth)
     reported = load_genotype_matrix(args.reported)
+    probs = _read_belief_csv(args.beliefs, truth.n, truth.l) if args.beliefs else None
     print(
         "e_rr="
         + _fmt(
@@ -195,8 +224,7 @@ def _cmd_eval(args) -> int:
             )
         )
     )
-    if args.beliefs:
-        probs = _read_belief_csv(args.beliefs, truth.n, truth.l)
+    if probs is not None:
         dist = np.abs(truth.values[:, :, None] - np.arange(3)[None, None, :])
         e_attack = float((probs * dist).sum(axis=(1, 2)).mean() / truth.l)
         print("e_attack=" + _fmt(e_attack))
@@ -228,7 +256,7 @@ def _cmd_order(args) -> int:
         policy, value = optimal_order_value_iteration(row, corr, config)
         order = _policy_modal_order(policy, matrix.l)
     print(" ".join(str(i) for i in order))
-    if value is None and matrix.l <= 12:
+    if value is None and matrix.l <= ordering.EXACT_METHOD_MAX_SNPS:
         value = expected_utility_of_order(row, order, corr, config, method="exact")
     if value is not None:
         print("expected_utility=" + _fmt(value))

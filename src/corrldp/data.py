@@ -11,6 +11,7 @@ which both the sharing mechanism and the inference attack consume.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,6 +19,7 @@ import numpy as np
 
 STATES = (0, 1, 2)
 NUM_STATES = 3
+_DIGITS = frozenset("012")
 
 
 class GenotypeError(ValueError):
@@ -108,30 +110,32 @@ def load_genotype_matrix(path) -> GenotypeMatrix:
                 raise GenotypeParseError(
                     f"{path}: line {lineno}: expected {header[1]} values, got {len(fields)}"
                 )
-            row = []
-            for col, tok in enumerate(fields):
-                if tok not in ("0", "1", "2"):
-                    raise GenotypeParseError(
-                        f"{path}: line {lineno}, column {col + 1}: "
-                        f"invalid genotype {tok!r} (must be 0, 1 or 2)"
-                    )
-                row.append(int(tok))
-            rows.append(row)
+            if not _DIGITS.issuperset(fields):
+                col, tok = next((c, t) for c, t in enumerate(fields) if t not in _DIGITS)
+                raise GenotypeParseError(
+                    f"{path}: line {lineno}, column {col + 1}: "
+                    f"invalid genotype {tok!r} (must be 0, 1 or 2)"
+                )
+            rows.append("".join(fields))
     if header is None:
         raise GenotypeParseError(f"{path}: empty file (missing 'n l' header)")
     if len(rows) != header[0]:
         raise GenotypeParseError(
             f"{path}: header declares {header[0]} rows but file holds {len(rows)}"
         )
-    return GenotypeMatrix(np.array(rows, dtype=np.int8))
+    digits = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return GenotypeMatrix((digits - ord("0")).astype(np.int8).reshape(header))
 
 
 def save_genotype_matrix(matrix: GenotypeMatrix, path) -> None:
     """Write a genotype matrix in the text format read by load_genotype_matrix."""
+    # Each row is its digits with a space after each, the last space a newline.
+    text = np.full((matrix.n, matrix.l, 2), ord(" "), dtype=np.uint8)
+    text[:, :, 0] = matrix.values + ord("0")
+    text[:, -1, 1] = ord("\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.n} {matrix.l}\n")
-        for row in matrix.values:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        fh.write(text.tobytes().decode("ascii"))
 
 
 def hardy_weinberg_triple(maf: float) -> np.ndarray:
@@ -278,31 +282,22 @@ class CorrelationModel:
         return mask
 
     def to_json(self, path) -> None:
-        cond_list = np.where(np.isnan(self.cond), None, self.cond).tolist()
-        payload = {
-            "l": self.l,
-            "cond": cond_list,
-            "marginals": self.marginals.tolist(),
-        }
+        """Write ``{"l": l, "cond": [...], "marginals": [...]}`` with no spaces,
+        each float as its ``repr`` and ``null`` for an undefined conditional."""
+        cond = "[]" if self.cond.size == 0 else _json_nested_list(repr_each(self.cond, nan="null"))
+        marginals = json.dumps(self.marginals.tolist(), separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
+            fh.write(f'{{"l":{self.l},"cond":')
+            fh.write(cond)
+            fh.write(f',"marginals":{marginals}}}')
 
     @classmethod
     def from_json(cls, path) -> "CorrelationModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
         try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
             l = payload["l"]
-            cond = np.array(
-                [
-                    [
-                        [[np.nan if v is None else float(v) for v in rb] for rb in ra]
-                        for ra in rk
-                    ]
-                    for rk in payload["cond"]
-                ],
-                dtype=np.float64,
-            )
+            cond = np.array(payload["cond"], dtype=np.float64)  # null -> nan
             marginals = np.asarray(payload["marginals"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise GenotypeParseError(f"{path}: malformed correlation model: {exc}") from None
@@ -310,7 +305,35 @@ class CorrelationModel:
             raise GenotypeParseError(
                 f"{path}: header l={l} disagrees with table shape {cond.shape}"
             )
-        return cls(cond=cond, marginals=marginals)
+        try:
+            return cls(cond=cond, marginals=marginals)
+        except GenotypeError as exc:
+            raise GenotypeParseError(f"{path}: malformed correlation model: {exc}") from None
+
+
+def repr_each(values: np.ndarray, nan: str = "nan") -> np.ndarray:
+    """Object array of ``repr(float(v))`` for every v in ``values``, with ``nan``
+    for NaN.  Each distinct bit pattern is formatted once, which is what makes
+    the model and belief writers fast: their values repeat a lot."""
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    texts = np.array(
+        [nan if math.isnan(v) else repr(v) for v in bits.view(np.float64).tolist()], dtype=object
+    )
+    return texts[inverse].reshape(values.shape)
+
+
+def _json_nested_list(texts: np.ndarray) -> str:
+    """What ``json.dumps(texts.tolist(), separators=(",", ":"))`` would write if
+    each element of the non-empty array ``texts`` were written as its text."""
+    pieces = np.empty(texts.shape + (2,), dtype=object)
+    pieces[..., 0] = texts
+    pieces[..., 1] = ","
+    # An element closing `depth` nested lists is followed by "],[" at that depth.
+    for depth in range(1, texts.ndim):
+        pieces[(Ellipsis,) + (-1,) * depth + (1,)] = "]" * depth + "," + "[" * depth
+    pieces.flat[-1] = "]" * texts.ndim
+    return "[" * texts.ndim + "".join(pieces.ravel().tolist())
 
 
 def compute_correlation_model(

@@ -1,9 +1,12 @@
 """Shared helpers for the test suite: handcrafted correlation models,
-exact-arithmetic randomized-response parameters, and scalar references for
-the sequential mechanism that the vectorized code is checked against."""
+exact-arithmetic randomized-response parameters, scalar references for
+the sequential mechanism that the vectorized code is checked against, and
+value-by-value writers and readers for the file formats."""
 
 from __future__ import annotations
 
+import csv
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -210,3 +213,50 @@ class MdpSpec:
                 reward = int((y > 0) == x_class)
                 result.append((dist.probs[y], state + ((action, y),), reward))
         return result
+
+
+# ------------------------------------------------ file format references
+
+
+def reference_model_json(model: CorrelationModel, path) -> None:
+    """The model file through ``json.dump`` of nested lists, None for NaN."""
+    payload = {
+        "l": model.l,
+        "cond": np.where(np.isnan(model.cond), None, model.cond).tolist(),
+        "marginals": model.marginals.tolist(),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, separators=(",", ":"))
+
+
+def reference_save_genotypes(values: np.ndarray, path) -> None:
+    """The genotype text format, one token at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{values.shape[0]} {values.shape[1]}\n")
+        for row in values:
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+def reference_belief_csv(path, probs, eliminated, fallback) -> None:
+    """The attack's belief CSV, one ``csv.writer`` row per cell."""
+    n, l = fallback.shape
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["row", "snp", "p0", "p1", "p2", "elim0", "elim1", "elim2", "fallback"])
+        for j in range(n):
+            for i in range(l):
+                writer.writerow(
+                    [j, i]
+                    + [repr(float(probs[j, i, v])) for v in range(3)]
+                    + [int(eliminated[j, i, v]) for v in range(3)]
+                    + [int(fallback[j, i])]
+                )
+
+
+def reference_read_belief_csv(path, n: int, l: int) -> np.ndarray:
+    """The (n, l, 3) probabilities of a belief CSV, one ``DictReader`` record per cell."""
+    probs = np.full((n, l, 3), np.nan)
+    with open(path, newline="") as fh:
+        for record in csv.DictReader(fh):
+            probs[int(record["row"]), int(record["snp"])] = [float(record[f"p{v}"]) for v in range(3)]
+    return probs

@@ -3,14 +3,17 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from corrldp import ordering
 from corrldp.attack import AttackConfig, attack_population, population_estimation_error
-from corrldp.cli import main
+from corrldp.cli import _read_belief_csv, main
 from corrldp.data import CorrelationModel, compute_correlation_model, load_genotype_matrix
 from corrldp.kinship import FamilyShape, FamilyState, ShareRecord, max_budget_general
+from support import reference_belief_csv, reference_read_belief_csv
 
 
 def run_cli(argv, capsys):
@@ -188,6 +191,90 @@ def test_attack_order_flag_errors(tmp_path, capsys):
     assert code == 2 and "--order-out" in err
 
 
+@pytest.mark.parametrize(
+    "n, l, pseudo_count, gamma, replay",
+    [(12, 5, 0.0, 0.4, False), (7, 1, 0.0, 0.5, False), (40, 30, 0.5, 0.01, False), (40, 30, 0.0, 0.4, True)],
+)
+def test_belief_file_matches_csv_writer(tmp_path, capsys, n, l, pseudo_count, gamma, replay):
+    data = _gen(tmp_path, capsys, n=n, l=l)
+    corr, reported, order = tmp_path / "model.json", tmp_path / "reported.txt", tmp_path / "order.txt"
+    run_cli(["corr", "--data", str(data), "--pseudo-count", str(pseudo_count), "--out", str(corr)], capsys)
+    run_cli(["perturb", "--data", str(data), "--corr", str(corr), "--epsilon", "1.0", "--seed", "5",
+             "--tau-hat", "0.2", "--gamma-hat", "0.4", "--out", str(reported), "--order-out", str(order)],
+            capsys)
+    known = ["--tau-hat", "0.2", "--gamma-hat", "0.4", "--order", str(order)] if replay else []
+    beliefs = tmp_path / "beliefs.csv"
+    code, _, err = run_cli(
+        ["attack", "--data", str(reported), "--corr", str(corr), "--epsilon", "1.0",
+         "--gamma", str(gamma), "--out", str(beliefs), *known],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    values = load_genotype_matrix(reported).values
+    config = AttackConfig(
+        epsilon_known=1.0, tau=0.2, gamma=gamma, mechanism_params_known=(0.2, 0.4) if replay else None
+    )
+    assumed = tuple(int(i) for i in order.read_text().split()) if replay else None
+    belief = attack_population(values, CorrelationModel.from_json(corr), config, assumed_order=assumed)
+    if gamma < 0.1:
+        assert belief.fallback.any()
+    reference = tmp_path / "reference.csv"
+    reference_belief_csv(reference, belief.probs, belief.eliminated, belief.fallback)
+    assert beliefs.read_bytes() == reference.read_bytes()
+    probs = _read_belief_csv(beliefs, n, l)
+    assert probs.tobytes() == reference_read_belief_csv(beliefs, n, l).tobytes()
+    assert probs.tobytes() == belief.probs.tobytes()
+
+
+def test_malformed_model_file_exits_1(tmp_path, capsys):
+    data = _gen(tmp_path, capsys)
+    corr = tmp_path / "model.json"
+    run_cli(["corr", "--data", str(data), "--out", str(corr)], capsys)
+    text = corr.read_text()
+    payload = json.loads(text)
+    cond = np.nan_to_num(np.array(payload["cond"], dtype=float))
+    bad = tmp_path / "bad.json"
+    for content in (
+        text[:-10],
+        json.dumps(dict(payload, marginals=payload["marginals"][:-1])),
+        json.dumps(dict(payload, cond=(cond / 2).tolist())),
+    ):
+        bad.write_text(content)
+        code, out, err = run_cli(
+            ["attack", "--data", str(data), "--corr", str(bad), "--epsilon", "1.0",
+             "--out", str(tmp_path / "beliefs.csv")],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}: ")
+
+
+def test_malformed_belief_file_exits_1_before_printing(tmp_path, capsys):
+    data = _gen(tmp_path, capsys, n=2, l=2)
+    header = "row,snp,p0,p1,p2,elim0,elim1,elim2,fallback\n"
+    good = ["0,0,1.0,0.0,0.0,0,0,0,0\n", "0,1,0.5,0.5,0.0,0,0,0,0\n",
+            "1,0,0.0,1.0,0.0,0,0,0,0\n", "1,1,0.0,0.0,1.0,0,0,0,0\n"]
+    beliefs = tmp_path / "beliefs.csv"
+    argv = ["eval", "--truth", str(data), "--reported", str(data), "--epsilon", "1.0",
+            "--beliefs", str(beliefs)]
+    beliefs.write_text(header + "".join(good))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and "e_attack=" in out
+    for content, message in (
+        (header + "".join(good[:3]) + "1,1,0.0\n", "malformed belief table"),
+        (header + "".join(good[:3]) + "1,1,x,0.0,1.0,0,0,0,0\n", "malformed belief table"),
+        ("row,snp,p0,p1\n" + "".join(good), "belief header"),
+        ("", "belief header"),
+        (header + "".join(good[:3]) + "1,2,0.0,0.0,1.0,0,0,0,0\n", r"belief row \(1, 2\) outside 2x2"),
+        (header + "".join(good[:3]), "does not cover"),
+    ):
+        beliefs.write_text(content)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == "", content
+        assert err.startswith(f"error: {beliefs}: ")
+        assert re.search(message, err), err
+
+
 def test_eval_reports_scores_and_belief_error(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
     corr = tmp_path / "model.json"
@@ -245,6 +332,22 @@ def test_order_prints_permutation_and_utility(tmp_path, capsys):
         ["order", "--data", str(data), "--row", "99", "--epsilon", "1.0"], capsys
     )
     assert code == 2 and "--row" in err
+
+
+def test_order_prints_utility_up_to_the_exact_cap(tmp_path, capsys, monkeypatch):
+    small, large = _gen(tmp_path, capsys), _gen(tmp_path, capsys, name="large.txt", l=13)
+
+    def printed_lines(data):
+        code, stdout, _ = run_cli(
+            ["order", "--data", str(data), "--epsilon", "1.0", "--order", "random"], capsys
+        )
+        assert code == 0
+        return stdout.strip().splitlines()
+
+    monkeypatch.setattr(ordering, "EXACT_METHOD_MAX_SNPS", 4)
+    assert len(printed_lines(small)) == 1
+    monkeypatch.setattr(ordering, "EXACT_METHOD_MAX_SNPS", 13)
+    assert printed_lines(large)[1].startswith("expected_utility=")
 
 
 def test_kinship_values(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Genotype matrices, file round-trips, synthetic populations, correlation models."""
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from corrldp.data import (
     load_genotype_matrix,
     save_genotype_matrix,
 )
+from support import reference_model_json, reference_save_genotypes
 
 
 # ---------------------------------------------------------------- matrices
@@ -81,6 +83,24 @@ def test_save_load_round_trip(tmp_path_factory, n, l, seed):
     path = tmp_path_factory.mktemp("rt") / "g.txt"
     save_genotype_matrix(m, path)
     assert load_genotype_matrix(path) == m
+
+
+@pytest.mark.parametrize("n, l", [(1, 1), (1, 9), (9, 1), (40, 30)])
+def test_genotype_file_matches_token_writer(tmp_path, n, l):
+    values = np.random.default_rng(n * 100 + l).integers(0, 3, size=(n, l))
+    path, reference = tmp_path / "g.txt", tmp_path / "ref.txt"
+    save_genotype_matrix(GenotypeMatrix(values), path)
+    reference_save_genotypes(values, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    loaded = load_genotype_matrix(path).values
+    assert loaded.dtype == np.int8 and loaded.tobytes() == values.astype(np.int8).tobytes()
+
+
+def test_load_names_the_first_bad_token_of_a_line(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("2 4\n0 1 2 0\n\n# note\n1 x 3 0\n", encoding="utf-8")
+    with pytest.raises(GenotypeParseError, match=r"line 5, column 2: invalid genotype 'x'"):
+        load_genotype_matrix(path)
 
 
 # ---------------------------------------------------------------- synthetic
@@ -245,10 +265,54 @@ def test_correlation_model_json_round_trip(tmp_path):
     path = tmp_path / "corr.json"
     corr.to_json(path)
     loaded = CorrelationModel.from_json(path)
-    assert np.array_equal(np.isnan(corr.cond), np.isnan(loaded.cond))
-    defined = ~np.isnan(corr.cond)
-    assert np.allclose(corr.cond[defined], loaded.cond[defined])
-    assert np.allclose(corr.marginals, loaded.marginals)
+    assert np.isnan(corr.cond).any()
+    assert np.array_equal(corr.cond, loaded.cond, equal_nan=True)
+    assert np.array_equal(corr.marginals, loaded.marginals)
+
+
+@pytest.mark.parametrize(
+    "n, l, maf, pseudo_count",
+    [(7, 1, 0.3, 0.0), (6, 9, 0.05, 0.0), (30, 12, 0.3, 0.5), (80, 40, 0.2, 0.0), (2, 3, 0.5, 1.0)],
+)
+def test_model_file_matches_json_dump(tmp_path, n, l, maf, pseudo_count):
+    matrix = generate_synthetic_population(SyntheticSpec(n=n, l=l, maf=maf, rho=0.7), n + l)
+    corr = compute_correlation_model(matrix, pseudo_count)
+    path, reference = tmp_path / "model.json", tmp_path / "ref.json"
+    corr.to_json(path)
+    reference_model_json(corr, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    loaded = CorrelationModel.from_json(path)
+    assert loaded.cond.tobytes() == corr.cond.tobytes()
+    assert loaded.marginals.tobytes() == corr.marginals.tobytes()
+
+
+def test_empty_model_file_matches_json_dump(tmp_path):
+    corr = CorrelationModel(cond=np.empty((0, 0, 3, 3)), marginals=np.empty((0, 3)))
+    path, reference = tmp_path / "model.json", tmp_path / "ref.json"
+    corr.to_json(path)
+    reference_model_json(corr, reference)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_malformed_model_file_names_its_path(tmp_path):
+    corr = compute_correlation_model(GenotypeMatrix(np.array([[0, 1], [2, 1], [1, 0]])))
+    path = tmp_path / "model.json"
+    corr.to_json(path)
+    text = path.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    wrong_marginals = dict(payload, marginals=[[1.0, 0.0, 0.0]])
+    unnormalized = dict(payload, cond=(np.nan_to_num(corr.cond) / 2).tolist())
+    for bad, message in (
+        (text[: len(text) // 2], "malformed correlation model"),
+        (json.dumps(wrong_marginals), "marginals must be"),
+        (json.dumps(unnormalized), "must sum to 1"),
+        ('{"l": 2, "cond": [[1, 2], [3]], "marginals": []}', "malformed correlation model"),
+        ('{"l": 3, "marginals": []}', "malformed correlation model"),
+    ):
+        path.write_text(bad, encoding="utf-8")
+        with pytest.raises(GenotypeParseError, match=message) as exc:
+            CorrelationModel.from_json(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_correlation_model_validation():
