@@ -19,17 +19,13 @@ from .attack import (
     population_estimation_error,
     recover_possible_inputs,
     rr_belief_population,
-    rr_postprocess,
     rr_postprocess_population,
 )
 from .beacon import (
     AccuracyReport,
-    BeaconAnswer,
     DecisionRule,
     beacon_accuracy,
-    beacon_response,
     per_snp_expected_utility,
-    rr_beacon_decision,
 )
 from .data import (
     NUM_STATES,
@@ -99,9 +95,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackConfig", "AttackerBelief", "attack", "attack_population",
     "estimation_error", "population_estimation_error", "recover_possible_inputs",
-    "rr_belief_population", "rr_postprocess", "rr_postprocess_population",
-    "AccuracyReport", "BeaconAnswer", "DecisionRule", "beacon_accuracy",
-    "beacon_response", "per_snp_expected_utility", "rr_beacon_decision",
+    "rr_belief_population", "rr_postprocess_population",
+    "AccuracyReport", "DecisionRule", "beacon_accuracy", "per_snp_expected_utility",
     "NUM_STATES", "STATES", "CorrelationModel", "GenotypeError", "GenotypeMatrix",
     "GenotypeParseError", "SyntheticSpec", "as_seed_sequence",
     "compute_correlation_model", "generate_synthetic_population",

@@ -100,8 +100,8 @@ def attack_population(
 
     When the config carries the mechanism's (tau_hat, gamma_hat), states the
     mechanism could not have reported under ``assumed_order`` (one order for
-    every row or one per row; identity by default) are additionally ruled
-    out before renormalizing.
+    every row or one per row, required then) are additionally ruled out
+    before renormalizing.
     """
     Y = np.atleast_2d(_as_genotype_array(Y, "reported values"))
     l = Y.shape[1]
@@ -132,7 +132,7 @@ def attack(y, corr: CorrelationModel, config: AttackConfig, assumed_order=None) 
 
 
 def recover_possible_inputs(
-    y, corr: CorrelationModel, tau_hat: float, gamma_hat: float, order=None
+    y, corr: CorrelationModel, tau_hat: float, gamma_hat: float, order
 ) -> np.ndarray:
     """Replay the mechanism's elimination rule on reported values.
 
@@ -142,14 +142,16 @@ def recover_possible_inputs(
     mechanism could still have reported at each SNP.  With the true
     parameters and the true processing orders this reproduces the
     mechanism's own elimination outcomes exactly, because those depended
-    only on the shared values.  ``order`` defaults to the identity order.
+    only on the shared values.
     """
     Y = _as_genotype_array(y, "reported values")
     if Y.ndim not in (1, 2):
         raise ValueError(f"reported values must be a row or a matrix, got shape {Y.shape}")
     Y2 = np.atleast_2d(Y)
     l = Y2.shape[1]
-    order = _validate_order(range(l) if order is None else order, l, rows=Y2.shape[0])
+    if order is None:
+        raise ValueError("the replay needs the order the rows were shared in; got order=None")
+    order = _validate_order(order, l, rows=Y2.shape[0])
     if not math.isfinite(gamma_hat) or gamma_hat <= 0:
         raise ValueError(f"gamma_hat must be finite and > 0, got {gamma_hat}")
     _, eliminated, _ = _sequential_share(
@@ -160,33 +162,20 @@ def recover_possible_inputs(
 
 def estimation_error(belief_probs, truth) -> float:
     """Mean belief-weighted distance to the truth: (1/l) sum_k sum_v
-    Pr(x_k = v) |x_k - v|, in [0, 2]."""
+    Pr(x_k = v) |x_k - v|, in [0, 2].  ``truth`` is one row (l,) scored
+    against (l, 3) beliefs, or a matrix (n, l) against (n, l, 3), whose rows
+    are scored alike and averaged."""
     probs = np.asarray(belief_probs, dtype=np.float64)
-    x = _as_genotype_array(truth, "truth")
-    if probs.shape != (x.size, 3):
-        raise ValueError(f"belief must be ({x.size}, 3), got {probs.shape}")
-    dist = np.abs(x[:, None] - np.arange(3)[None, :])
-    return float((probs * dist).sum() / x.size)
+    X = _as_genotype_array(truth, "truth")
+    if X.ndim not in (1, 2) or probs.shape != X.shape + (3,):
+        raise ValueError(f"beliefs cover shape {probs.shape[:-1]}, truth is {X.shape}")
+    dist = np.abs(X[..., None] - np.arange(3))
+    return float((probs * dist).sum(axis=(-2, -1)).mean() / X.shape[-1])
 
 
 def population_estimation_error(belief: AttackerBelief, truth_matrix) -> float:
     """Mean per-row estimation error over a population."""
-    X = np.atleast_2d(_as_genotype_array(truth_matrix, "truth"))
-    probs = belief.probs
-    if probs.shape[:2] != X.shape:
-        raise ValueError(f"beliefs cover shape {probs.shape[:2]}, truth is {X.shape}")
-    dist = np.abs(X[:, :, None] - np.arange(3)[None, None, :])
-    return float((probs * dist).sum(axis=(1, 2)).mean() / X.shape[1])
-
-
-def rr_postprocess(
-    y, corr: CorrelationModel, tau: float, gamma: float, max_sweeps: int = 3
-) -> np.ndarray:
-    """Rewrite one randomized-response row; see rr_postprocess_population."""
-    y = _as_genotype_array(y, "reported values")
-    if y.ndim != 1:
-        raise ValueError(f"reported row must be 1-D, got shape {y.shape}")
-    return rr_postprocess_population(y[None, :], corr, tau, gamma, max_sweeps)[0]
+    return estimation_error(belief.probs, np.atleast_2d(truth_matrix))
 
 
 def rr_postprocess_population(

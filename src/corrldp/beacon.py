@@ -23,35 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GenotypeMatrix, _as_genotype_array
+from .data import GenotypeMatrix
 from .rr import rr_params
-
-
-class BeaconAnswer(enum.Enum):
-    NO = 0
-    YES = 1
 
 
 class DecisionRule(enum.Enum):
     DIRECT = "direct"
     RR_ESTIMATED = "rr-estimated"
-
-
-def beacon_response(column) -> BeaconAnswer:
-    """Yes iff any individual's value at this SNP is non-zero."""
-    col = _as_genotype_array(column, "column")
-    return BeaconAnswer.YES if np.any(col > 0) else BeaconAnswer.NO
-
-
-def _rr_estimated_yes(values: np.ndarray, epsilon: float) -> np.ndarray:
-    """Per column of ``values``: Yes unless the zero count reaches n * p."""
-    return np.sum(values == 0, axis=0) < values.shape[0] * rr_params(epsilon).p
-
-
-def rr_beacon_decision(column, epsilon: float) -> BeaconAnswer:
-    """No iff the reported zero count reaches n * p for budget epsilon."""
-    col = _as_genotype_array(column, "column")
-    return BeaconAnswer.YES if _rr_estimated_yes(col, epsilon) else BeaconAnswer.NO
 
 
 @dataclass(frozen=True)
@@ -90,7 +68,7 @@ def beacon_accuracy(
     if rule is DecisionRule.RR_ESTIMATED:
         if epsilon is None:
             raise ValueError("RR_ESTIMATED needs the randomized-response epsilon")
-        answers = _rr_estimated_yes(perturbed.values, epsilon)
+        answers = np.sum(perturbed.values == 0, axis=0) < perturbed.n * rr_params(epsilon).p
     else:
         answers = np.any(perturbed.values > 0, axis=0)
     truth = np.any(original.values > 0, axis=0)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ordering
-from .attack import AttackConfig, attack_population, population_estimation_error, rr_belief_population
+from .attack import AttackConfig, attack_population, estimation_error, rr_belief_population
 from .beacon import DecisionRule, beacon_accuracy
 from .data import (
     CorrelationModel,
@@ -215,19 +215,16 @@ def _read_belief_csv(path, n: int, l: int) -> np.ndarray:
 def _cmd_eval(args) -> int:
     truth = load_genotype_matrix(args.truth)
     reported = load_genotype_matrix(args.reported)
-    probs = _read_belief_csv(args.beliefs, truth.n, truth.l) if args.beliefs else None
-    print(
-        "e_rr="
-        + _fmt(
-            population_estimation_error(
-                rr_belief_population(reported.values, args.epsilon), truth.values
-            )
+    if reported.values.shape != truth.values.shape:
+        raise ValueError(
+            f"--reported {args.reported} has shape {reported.values.shape}, "
+            f"--truth {args.truth} has shape {truth.values.shape}"
         )
-    )
+    probs = _read_belief_csv(args.beliefs, truth.n, truth.l) if args.beliefs else None
+    rr_belief = rr_belief_population(reported.values, args.epsilon)
+    print("e_rr=" + _fmt(estimation_error(rr_belief.probs, truth.values)))
     if probs is not None:
-        dist = np.abs(truth.values[:, :, None] - np.arange(3)[None, None, :])
-        e_attack = float((probs * dist).sum(axis=(1, 2)).mean() / truth.l)
-        print("e_attack=" + _fmt(e_attack))
+        print("e_attack=" + _fmt(estimation_error(probs, truth.values)))
     direct = beacon_accuracy(truth, reported, DecisionRule.DIRECT)
     estimated = beacon_accuracy(truth, reported, DecisionRule.RR_ESTIMATED, epsilon=args.epsilon)
     for name, report in (("a_direct", direct), ("a_rr_estimated", estimated)):

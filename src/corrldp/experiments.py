@@ -54,12 +54,7 @@ from .data import (
     load_genotype_matrix,
 )
 from .mechanism import MechanismConfig, SharingMode, perturb_population
-from .ordering import (
-    EXACT_METHOD_MAX_SNPS,
-    _greedy_rows,
-    _optimal_rows,
-    random_order,
-)
+from .ordering import _greedy_rows, _optimal_rows, random_order
 from .rr import rr_perturb
 
 
@@ -188,11 +183,6 @@ def _perturb_proposed(
     if config.order_strategy is OrderStrategy.GREEDY:
         values, _, orders = _greedy_rows(matrix.values, corr, mech_config, row_seeds)
         return values, orders
-    if matrix.l > EXACT_METHOD_MAX_SNPS:
-        raise ValueError(
-            f"exact solve supports at most {EXACT_METHOD_MAX_SNPS} SNPs, got {matrix.l}; "
-            "switch the ordering strategy to random or greedy for this size"
-        )
     values, _, orders = _optimal_rows(matrix.values, corr, mech_config, row_seeds)
     return values, orders
 
@@ -289,9 +279,8 @@ class ExperimentResult:
             row = [_fmt(eps), str(len(group))]
             for m in names:
                 vals = [r.metrics[m] for r in group if not math.isnan(r.metrics[m])]
-                mean = statistics.fmean(vals) if vals else math.nan
                 se = statistics.stdev(vals) / math.sqrt(len(vals)) if len(vals) >= 2 else math.nan
-                row += [_fmt(mean), _fmt(se)]
+                row += [_fmt(self.mean_metric(m, eps)), _fmt(se)]
             rows.append(row)
         return header, rows
 

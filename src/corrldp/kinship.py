@@ -22,6 +22,7 @@ scope for budget planning, which must be decided before sharing happens.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -176,38 +177,14 @@ def _rr_weights(y: int, epsilon: float) -> tuple[float, float, float]:
 
 def posterior_parent_given_share(y: int, epsilon: float) -> tuple[float, float, float]:
     """Parent posterior after one child reports y under budget epsilon."""
-    if y not in STATES:
-        raise ValueError(f"report must be in {{0, 1, 2}}, got {y}")
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    w = _rr_weights(y, epsilon)
-    z = [sum(float(PARENT_GIVEN_CHILD[c][v]) * w[c] for c in STATES) for v in STATES]
-    total = sum(z)
-    return tuple(val / total for val in z)
+    return _posterior_for_shares([(y, epsilon)])
 
 
 def posterior_parent_given_two_shares(
     y1: int, epsilon1: float, y2: int, epsilon2: float
 ) -> tuple[float, float, float]:
     """Parent posterior after both children report, each at their own budget."""
-    for y in (y1, y2):
-        if y not in STATES:
-            raise ValueError(f"report must be in {{0, 1, 2}}, got {y}")
-    for eps in (epsilon1, epsilon2):
-        if not eps >= 0:
-            raise ValueError(f"epsilon must be >= 0, got {eps}")
-    w1 = _rr_weights(y1, epsilon1)
-    w2 = _rr_weights(y2, epsilon2)
-    z = [
-        sum(
-            float(PARENT_GIVEN_TWO_CHILDREN[c1, c2][v]) * w1[c1] * w2[c2]
-            for c1 in STATES
-            for c2 in STATES
-        )
-        for v in STATES
-    ]
-    total = sum(z)
-    return tuple(val / total for val in z)
+    return _posterior_for_shares([(y1, epsilon1), (y2, epsilon2)])
 
 
 def indirect_budget_one_child(epsilon_j: float, y: int) -> float:
@@ -283,15 +260,32 @@ def _homozygous_ratio(z: Sequence[float]) -> float:
     return hi / lo
 
 
+# Pr(parent = v | the sharing children's values), keyed by the tuple of
+# those values: one child's or two children's.
+_PARENT_GIVEN_VALUES: Mapping[tuple[int, ...], tuple[Fraction, ...]] = {
+    **{(c,): row for c, row in enumerate(PARENT_GIVEN_CHILD)},
+    **PARENT_GIVEN_TWO_CHILDREN,
+}
+
+
 def _posterior_for_shares(shares: Sequence[tuple[int, float]]) -> tuple[float, ...]:
-    if len(shares) == 0:
-        return (1.0 / 3,) * 3
-    if len(shares) == 1:
-        return posterior_parent_given_share(*shares[0])
-    if len(shares) == 2:
-        (y1, e1), (y2, e2) = shares
-        return posterior_parent_given_two_shares(y1, e1, y2, e2)
-    raise NotImplementedError("no transition table for more than two children")
+    """Parent posterior after one or two children's (report, budget) pairs."""
+    for y, _ in shares:
+        if y not in STATES:
+            raise ValueError(f"report must be in {{0, 1, 2}}, got {y}")
+    for _, eps in shares:
+        if not eps >= 0:
+            raise ValueError(f"epsilon must be >= 0, got {eps}")
+    weights = [_rr_weights(y, eps) for y, eps in shares]
+    # sum in the children's lexicographic order, multiply each term left to
+    # right: the posteriors' bits, and every budget bisected from them, follow
+    z = [0.0, 0.0, 0.0]
+    for children in itertools.product(STATES, repeat=len(shares)):
+        row = _PARENT_GIVEN_VALUES[children]
+        for v in STATES:
+            z[v] += math.prod([w[c] for w, c in zip(weights, children)], start=float(row[v]))
+    total = sum(z)
+    return tuple(val / total for val in z)
 
 
 def _bisect_budget(ratio_at, target: float) -> float:

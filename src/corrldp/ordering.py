@@ -104,8 +104,12 @@ class _ExactSolver:
         self.order = order
         self.l = l = len(self.row)
         if l > EXACT_METHOD_MAX_SNPS:
-            task = "solve" if order is None else "evaluation"
-            raise ValueError(f"exact {task} supports at most {EXACT_METHOD_MAX_SNPS} SNPs, got {l}")
+            if order is None:
+                raise ValueError(
+                    f"exact solve supports at most {EXACT_METHOD_MAX_SNPS} SNPs, got {l}; "
+                    "switch the ordering strategy to random or greedy for this size"
+                )
+            raise ValueError(f"exact evaluation supports at most {EXACT_METHOD_MAX_SNPS} SNPs, got {l}")
         _, probs = branch_tables(config)
         util = _utility_table(probs)
         # branches[x][bits]: (expected utility, ((y, P(y)) for each possible y))
@@ -216,17 +220,6 @@ class OrderPolicy:
         if act < 0:
             raise ValueError("every SNP has already been shared")
         return act
-
-    def _forget_off_policy(self) -> None:
-        """Keep only the solved states that following this policy can reach
-        (about 1% of them at l = 10); action() recomputes others on demand."""
-        solver, kept, todo = self._solver, {}, [self._solver.initial()]
-        while todo:
-            state = todo.pop()
-            if state in solver.memo and state not in kept:
-                kept[state] = solver.memo[state]
-                todo += [solver.child(*state, kept[state][1], y) for y in STATES]
-        solver.memo = kept
 
 
 def optimal_order_value_iteration(
@@ -342,12 +335,12 @@ def greedy_order(
     return greedy_share(row, corr, config, rng_seed)[0]
 
 
-def _policy_chooser(policies: Sequence[OrderPolicy]):
-    """Row j's next SNP is ``policies[j]``'s action on the row's realized prefix."""
+def _policy_chooser(policy: OrderPolicy):
+    """The next SNP is ``policy``'s action on the row's realized prefix."""
 
     def next_snp(taken, counters, values) -> np.ndarray:
-        prefixes = np.stack([taken, np.take_along_axis(values, taken, axis=1)], axis=2)
-        return np.array([p.action(prefix) for p, prefix in zip(policies, prefixes.tolist())])
+        prefix = np.stack([taken[0], values[0, taken[0]]], axis=1)
+        return np.array([policy.action(prefix.tolist())])
 
     return next_snp
 
@@ -355,15 +348,15 @@ def _policy_chooser(policies: Sequence[OrderPolicy]):
 def _optimal_rows(
     X: np.ndarray, corr: CorrelationModel, config: MechanismConfig, row_seeds
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve each row's exact policy, then share every row under its own;
-    returns the kernel's (values, eliminated, orders).  Each policy keeps
-    only its own paths' states, so n of them fit in memory together."""
-    policies = []
-    for row in X:
+    """Solve each row's exact policy and share the row under it, one row at a
+    time, so only one policy's states are held; returns the kernel's
+    (values, eliminated, orders)."""
+    shares = []
+    for row, seed in zip(X, row_seeds):
         policy, _ = optimal_order_value_iteration(row, corr, config)
-        policy._forget_off_policy()
-        policies.append(policy)
-    return _share_rows(X, _policy_chooser(policies), corr, config, row_seeds)
+        shares.append(_share_rows(row[None, :], _policy_chooser(policy), corr, config, [seed]))
+        del policy  # free this row's states before the next row's solve
+    return tuple(np.concatenate(parts) for parts in zip(*shares))
 
 
 def perturb_with_policy(
@@ -373,5 +366,5 @@ def perturb_with_policy(
 
     One uniform per step, same convention as perturb_sequence."""
     row = _as_row(row, corr)
-    shared = _share_rows(row[None, :], _policy_chooser([policy]), corr, config, [rng_seed])
+    shared = _share_rows(row[None, :], _policy_chooser(policy), corr, config, [rng_seed])
     return _first_row(shared)

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: handcrafted correlation models,
 exact-arithmetic randomized-response parameters, scalar references for
-the sequential mechanism that the vectorized code is checked against, and
-value-by-value writers and readers for the file formats."""
+the sequential mechanism that the vectorized code is checked against, the
+per-family-shape parent posteriors, and value-by-value writers and readers
+for the file formats."""
 
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ import numpy as np
 
 from corrldp.beacon import per_snp_expected_utility
 from corrldp.data import STATES, CorrelationModel, as_seed_sequence
+from corrldp.kinship import PARENT_GIVEN_CHILD, PARENT_GIVEN_TWO_CHILDREN
 from corrldp.mechanism import Branch, MechanismConfig, sharing_probs
-from corrldp.rr import PerturbParams
+from corrldp.rr import PerturbParams, rr_params
 
 UNIFORM = (1.0 / 3, 1.0 / 3, 1.0 / 3)
 
@@ -213,6 +215,38 @@ class MdpSpec:
                 reward = int((y > 0) == x_class)
                 result.append((dist.probs[y], state + ((action, y),), reward))
         return result
+
+
+# ------------------------------------------------- posterior references
+
+
+def _rr_weights(y: int, epsilon: float) -> tuple[float, ...]:
+    params = rr_params(epsilon)
+    return tuple(params.p if c == y else params.q for c in STATES)
+
+
+def reference_posterior_one_share(y: int, epsilon: float) -> tuple[float, ...]:
+    """Parent posterior after one child's report, summed over the child's value."""
+    w = _rr_weights(y, epsilon)
+    z = [sum(float(PARENT_GIVEN_CHILD[c][v]) * w[c] for c in STATES) for v in STATES]
+    total = sum(z)
+    return tuple(val / total for val in z)
+
+
+def reference_posterior_two_shares(y1: int, epsilon1: float, y2: int, epsilon2: float) -> tuple[float, ...]:
+    """Parent posterior after both children's reports, summed over their values."""
+    w1 = _rr_weights(y1, epsilon1)
+    w2 = _rr_weights(y2, epsilon2)
+    z = [
+        sum(
+            float(PARENT_GIVEN_TWO_CHILDREN[c1, c2][v]) * w1[c1] * w2[c2]
+            for c1 in STATES
+            for c2 in STATES
+        )
+        for v in STATES
+    ]
+    total = sum(z)
+    return tuple(val / total for val in z)
 
 
 # ------------------------------------------------ file format references

@@ -17,7 +17,6 @@ from corrldp.attack import (
     population_estimation_error,
     recover_possible_inputs,
     rr_belief_population,
-    rr_postprocess,
     rr_postprocess_population,
 )
 from corrldp.data import (
@@ -122,6 +121,17 @@ def test_estimation_error_averages_over_snps():
         estimation_error(probs, [0, 0, 0])
 
 
+def test_estimation_error_row_equals_one_row_matrix():
+    rng = np.random.default_rng(12)
+    for l in (1, 2, 7, 40, 513):
+        raw = rng.random((l, 3))
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        truth = rng.integers(0, 3, size=l)
+        assert estimation_error(probs, truth) == estimation_error(probs[None], truth[None])
+    with pytest.raises(ValueError, match=r"beliefs cover shape \(1, 4\), truth is \(4,\)"):
+        estimation_error(np.zeros((1, 4, 3)), [0, 0, 0, 0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(1, 5),
@@ -200,11 +210,20 @@ def test_replay_default_order_is_identity():
     m = generate_synthetic_population(SyntheticSpec(n=3, l=6, maf=0.3, rho=0.9), 3)
     corr = compute_correlation_model(m)
     y = m.values[0]
-    a = recover_possible_inputs(y, corr, 0.2, 0.3)
-    b = recover_possible_inputs(y, corr, 0.2, 0.3, range(6))
-    assert np.array_equal(a, b)
     with pytest.raises(ValueError, match="permutation"):
         recover_possible_inputs(y, corr, 0.2, 0.3, (0, 0, 1, 2, 3, 4))
+
+
+def test_replay_without_an_order_raises():
+    m = generate_synthetic_population(SyntheticSpec(n=3, l=6, maf=0.3, rho=0.9), 3)
+    corr = compute_correlation_model(m)
+    with pytest.raises(ValueError, match="order=None"):
+        recover_possible_inputs(m.values[0], corr, 0.2, 0.3, None)
+    known = AttackConfig(epsilon_known=1.0, tau=0.15, gamma=0.4, mechanism_params_known=(0.2, 0.3))
+    with pytest.raises(ValueError, match="order=None"):
+        attack_population(m.values, corr, known)
+    with pytest.raises(TypeError):
+        recover_possible_inputs(m.values, corr, 0.2, 0.3)
 
 
 def test_replay_augmented_attack_unions_eliminations():
@@ -231,26 +250,26 @@ def test_replay_augmented_attack_unions_eliminations():
 def test_postprocess_keeps_consistent_rows():
     corr = uniform_corr(5)
     y = np.array([0, 2, 1, 0, 1])
-    assert np.array_equal(rr_postprocess(y, corr, 0.2, 0.4), y)
+    assert np.array_equal(rr_postprocess_population(y, corr, 0.2, 0.4)[0], y)
 
 
 def test_postprocess_hand_case():
     # report 0 at SNP 0 is ruled out by report 0 at SNP 1; the surviving
     # state with the highest average conditional is 1 (0.5 beats 0.499)
     corr = custom_corr(2, {(0, 1, 0): (0.001, 0.5, 0.499)})
-    out = rr_postprocess(np.array([0, 0]), corr, 0.02, 0.5)
+    out = rr_postprocess_population(np.array([0, 0]), corr, 0.02, 0.5)[0]
     assert out.tolist() == [1, 0]
 
 
 def test_postprocess_tie_prefers_lower_state():
     corr = custom_corr(2, {(0, 1, 0): (0.001, 0.4995, 0.4995)})
-    out = rr_postprocess(np.array([0, 0]), corr, 0.02, 0.5)
+    out = rr_postprocess_population(np.array([0, 0]), corr, 0.02, 0.5)[0]
     assert out.tolist() == [1, 0]
 
 
 def _postprocess_reference(y, corr, tau, gamma, max_sweeps=3):
-    """Same sweep semantics as rr_postprocess with counts recomputed from
-    scratch before every single decision."""
+    """Same sweep semantics as rr_postprocess_population on one row, with
+    counts recomputed from scratch before every single decision."""
     y = np.array(y, dtype=np.int64)
     l = y.size
     low = corr.low_mask(tau)
@@ -291,7 +310,7 @@ def test_postprocess_matches_scratch_reference():
         corr = compute_correlation_model(m)
         y = rng.integers(0, 3, size=7)
         for gamma in (0.15, 0.3, 0.6):
-            got = rr_postprocess(y, corr, 0.12, gamma, max_sweeps=4)
+            got = rr_postprocess_population(y, corr, 0.12, gamma, max_sweeps=4)[0]
             want = _postprocess_reference(y, corr, 0.12, gamma, max_sweeps=4)
             assert np.array_equal(got, want), f"trial {trial} gamma {gamma}"
 
@@ -303,7 +322,7 @@ def test_postprocess_population_is_rowwise():
     Y = rng.integers(0, 3, size=(4, 6))
     pop = rr_postprocess_population(Y, corr, 0.15, 0.3)
     for j in range(4):
-        assert np.array_equal(pop[j], rr_postprocess(Y[j], corr, 0.15, 0.3))
+        assert np.array_equal(pop[j], rr_postprocess_population(Y[j], corr, 0.15, 0.3)[0])
 
 
 def test_postprocess_reruns_are_stable_once_converged():
@@ -314,11 +333,11 @@ def test_postprocess_reruns_are_stable_once_converged():
     converged = 0
     for _ in range(10):
         y = rng.integers(0, 3, size=6)
-        once = rr_postprocess(y, corr, 0.12, 0.3, max_sweeps=10)
-        if not np.array_equal(once, rr_postprocess(y, corr, 0.12, 0.3, max_sweeps=11)):
+        once = rr_postprocess_population(y, corr, 0.12, 0.3, max_sweeps=10)[0]
+        if not np.array_equal(once, rr_postprocess_population(y, corr, 0.12, 0.3, 11)[0]):
             continue  # still changing at the sweep cap; stability not promised
         converged += 1
-        assert np.array_equal(rr_postprocess(once, corr, 0.12, 0.3, max_sweeps=10), once)
+        assert np.array_equal(rr_postprocess_population(once, corr, 0.12, 0.3, 10)[0], once)
     assert converged >= 5
 
 
@@ -391,6 +410,4 @@ def test_postprocess_empty_matrix_and_model_size():
     with pytest.raises(ValueError, match="correlation model covers 4 SNPs"):
         rr_postprocess_population(np.zeros((2, 3), dtype=int), corr, 0.2, 0.5)
     with pytest.raises(ValueError, match="correlation model covers 4 SNPs"):
-        rr_postprocess(np.zeros(5, dtype=int), corr, 0.2, 0.5)
-    with pytest.raises(ValueError, match="1-D"):
-        rr_postprocess(np.zeros((1, 4), dtype=int), corr, 0.2, 0.5)
+        rr_postprocess_population(np.zeros(5, dtype=int), corr, 0.2, 0.5)

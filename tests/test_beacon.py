@@ -12,44 +12,52 @@ from support import exact_params
 
 from corrldp.beacon import (
     AccuracyReport,
-    BeaconAnswer,
     DecisionRule,
     beacon_accuracy,
-    beacon_response,
     per_snp_expected_utility,
-    rr_beacon_decision,
 )
 from corrldp.data import GenotypeMatrix
 from corrldp.mechanism import SharingMode, sharing_probs
+from corrldp.rr import rr_params
 
 LN2 = math.log(2)
 
 
+def _answers_yes(column, rule=DecisionRule.DIRECT, epsilon=None) -> bool:
+    """The beacon answer a column gets under ``rule``, read off
+    beacon_accuracy: against an all-Yes original it is preserved iff Yes."""
+    col = GenotypeMatrix(np.asarray(column).reshape(-1, 1))
+    original = GenotypeMatrix(np.ones_like(col.values))
+    return beacon_accuracy(original, col, rule, epsilon=epsilon).preserved == 1
+
+
 def test_response_definition():
-    assert beacon_response([0, 0, 0]) is BeaconAnswer.NO
-    assert beacon_response([0, 1, 0]) is BeaconAnswer.YES
-    assert beacon_response([2]) is BeaconAnswer.YES
-    assert beacon_response([0]) is BeaconAnswer.NO
+    assert not _answers_yes([0, 0, 0])
+    assert _answers_yes([0, 1, 0])
+    assert _answers_yes([2])
+    assert not _answers_yes([0])
 
 
 def test_rr_decision_threshold():
     # at eps = ln 2, p = 1/2, so 100 reports flip at 50 zeros
+    rule = DecisionRule.RR_ESTIMATED
     col = np.zeros(100, dtype=int)
     col[:51] = 1  # 49 zeros
-    assert rr_beacon_decision(col, LN2) is BeaconAnswer.YES
+    assert _answers_yes(col, rule, LN2)
     col[:50] = 1
     col[50:] = 0  # 50 zeros: threshold reached -> No
-    assert rr_beacon_decision(col, LN2) is BeaconAnswer.NO
-    assert rr_beacon_decision(np.zeros(100, dtype=int), LN2) is BeaconAnswer.NO
+    assert not _answers_yes(col, rule, LN2)
+    assert not _answers_yes(np.zeros(100, dtype=int), rule, LN2)
 
 
 def test_rr_decision_extremes():
+    rule = DecisionRule.RR_ESTIMATED
     # eps = 0: p = 1/3, all-ones column is a Yes regardless
-    assert rr_beacon_decision(np.ones(30, dtype=int), 0.0) is BeaconAnswer.YES
+    assert _answers_yes(np.ones(30, dtype=int), rule, 0.0)
     # huge eps: p -> 1, a single non-zero already defeats the threshold
     col = np.zeros(1000, dtype=int)
     col[0] = 2
-    assert rr_beacon_decision(col, 20.0) is BeaconAnswer.YES
+    assert _answers_yes(col, rule, 20.0)
 
 
 def test_accuracy_direct_hand_case():
@@ -145,8 +153,6 @@ def test_class_preserving_branch_beats_plain_split():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2), st.floats(0.0, 6.0), st.sets(st.integers(0, 2), max_size=2))
 def test_utility_bounds(x, epsilon, elim):
-    from corrldp.rr import rr_params
-
     probs, _ = sharing_probs(x, elim, rr_params(epsilon), SharingMode.BEACON)
     u = per_snp_expected_utility(x, probs)
     assert 0.0 <= u <= 1.0 + 1e-12
@@ -160,6 +166,7 @@ def test_rr_estimated_accuracy_applies_the_column_decision():
         zero = rng.random((40, 25)) < np.linspace(0.1, 0.95, 25)
         perturbed = GenotypeMatrix(np.where(zero, 0, rng.integers(1, 3, size=(40, 25))))
         report = beacon_accuracy(original, perturbed, DecisionRule.RR_ESTIMATED, epsilon=epsilon)
-        yes = [rr_beacon_decision(perturbed.column(i), epsilon) is BeaconAnswer.YES for i in range(25)]
+        p = rr_params(epsilon).p
+        yes = [np.count_nonzero(perturbed.column(i) == 0) < 40 * p for i in range(25)]
         assert 0 < sum(yes) < 25
         assert report.preserved == sum(yes)

@@ -275,6 +275,20 @@ def test_malformed_belief_file_exits_1_before_printing(tmp_path, capsys):
         assert re.search(message, err), err
 
 
+def test_eval_shape_mismatch_names_both_files(tmp_path, capsys):
+    truth = _gen(tmp_path, capsys, n=8, l=4)
+    reported = _gen(tmp_path, capsys, name="reported.txt", n=7, l=1)
+    beliefs = tmp_path / "never-read.csv"
+    code, out, err = run_cli(
+        ["eval", "--truth", str(truth), "--reported", str(reported), "--epsilon", "1.0",
+         "--beliefs", str(beliefs)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert f"--reported {reported} has shape (7, 1)" in err
+    assert f"--truth {truth} has shape (8, 4)" in err
+
+
 def test_eval_reports_scores_and_belief_error(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
     corr = tmp_path / "model.json"

@@ -1,11 +1,16 @@
-"""The README names only what exists: every backticked name in its Library
-layout table is an attribute of the module that row describes."""
+"""The README's Library layout table and the public API match: every
+backticked name in a row is an attribute of the module that row describes,
+and every name in ``corrldp.__all__`` is listed in its home module's row."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import corrldp
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -29,4 +34,18 @@ def test_layout_table_names_exist():
         for name in names
         if not hasattr(importlib.import_module(module), name)
     ]
+    assert not missing, missing
+
+
+def test_layout_table_lists_every_public_name():
+    # a public name's home module is the one the package re-exports it from
+    tree = ast.parse((ROOT / "src" / "corrldp" / "__init__.py").read_text(encoding="utf-8"))
+    home = {
+        alias.name: f"corrldp.{node.module}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    listed = {(module, name) for module, names in _layout_rows() for name in names}
+    missing = [(home[name], name) for name in corrldp.__all__ if (home[name], name) not in listed]
     assert not missing, missing

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from support import reference_posterior_one_share, reference_posterior_two_shares
+
 from corrldp.kinship import (
     PARENT_GIVEN_CHILD,
     PARENT_GIVEN_TWO_CHILDREN,
@@ -106,6 +108,19 @@ def test_posterior_two_shares_is_symmetric():
 def test_posterior_two_confident_opposite_reports_pin_heterozygous():
     post = posterior_parent_given_two_shares(0, 30.0, 2, 30.0)
     assert post[1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_posteriors_bit_equal_per_shape_references():
+    budgets = (0.0, 1e-9, 0.5, 1.0, 3.3, 31.9)
+    for y in range(3):
+        for eps in budgets:
+            assert posterior_parent_given_share(y, eps) == reference_posterior_one_share(y, eps)
+    for y1 in range(3):
+        for y2 in range(3):
+            for e1 in budgets:
+                for e2 in budgets:
+                    got = posterior_parent_given_two_shares(y1, e1, y2, e2)
+                    assert got == reference_posterior_two_shares(y1, e1, y2, e2), (y1, e1, y2, e2)
 
 
 def test_posterior_validation():

@@ -357,19 +357,6 @@ def test_population_optimal_matches_policy_row_by_row():
         assert np.array_equal(seq.values, values[j]) and np.array_equal(seq.eliminated, eliminated[j])
 
 
-def test_forgetting_off_policy_states_keeps_every_action():
-    for row, corr, cfg in _instances(4, l=5, seed0=800):
-        full, value = optimal_order_value_iteration(row, corr, cfg)
-        pruned, _ = optimal_order_value_iteration(row, corr, cfg)
-        pruned._forget_off_policy()
-        assert 0 < len(pruned._solver.memo) < len(full._solver.memo)
-        spec = MdpSpec(row=tuple(int(v) for v in row), corr=corr, config=cfg)
-        assert _reference_policy_value(spec, pruned) == pytest.approx(value, abs=1e-9)
-        # an off-policy prefix is solved again on demand
-        for prefix in (((4, 0),), ((3, 2), (1, 1))):
-            assert pruned.action(prefix) == full.action(prefix)
-
-
 def test_seeded_calls_do_not_depend_on_seed_reuse():
     X, corr = _greedy_block(702, n=4, l=10)
     cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4)
