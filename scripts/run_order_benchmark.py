@@ -17,7 +17,7 @@ from corrldp.data import SyntheticSpec, compute_correlation_model, generate_synt
 from corrldp.mechanism import MechanismConfig, SharingMode
 from corrldp.ordering import (
     expected_utility_of_order,
-    greedy_order,
+    greedy_share,
     optimal_order_value_iteration,
     random_order,
 )
@@ -63,7 +63,7 @@ def main(argv=None):
         corr = compute_correlation_model(data)
         row = data.row(seed % data.n)
         _, v_opt = optimal_order_value_iteration(row, corr, cfg)
-        order_g = greedy_order(row, corr, cfg, rng_seed=1000 + seed)
+        order_g = greedy_share(row, corr, cfg, rng_seed=1000 + seed)[0]
         v_greedy = expected_utility_of_order(row, order_g, corr, cfg)
         order_r = random_order(len(row), 2000 + seed)
         v_random = expected_utility_of_order(row, order_r, corr, cfg)

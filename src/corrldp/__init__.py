@@ -13,7 +13,6 @@ bound, and a seeded experiment harness.
 from .attack import (
     AttackConfig,
     AttackerBelief,
-    attack,
     attack_population,
     estimation_error,
     population_estimation_error,
@@ -82,10 +81,8 @@ from .ordering import (
     OrderPolicy,
     brute_force_order,
     expected_utility_of_order,
-    greedy_order,
     greedy_share,
     optimal_order_value_iteration,
-    perturb_with_policy,
     random_order,
 )
 from .rr import FrequencyEstimate, PerturbParams, rr_estimate_frequencies, rr_params, rr_perturb
@@ -93,7 +90,7 @@ from .rr import FrequencyEstimate, PerturbParams, rr_estimate_frequencies, rr_pa
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackConfig", "AttackerBelief", "attack", "attack_population",
+    "AttackConfig", "AttackerBelief", "attack_population",
     "estimation_error", "population_estimation_error", "recover_possible_inputs",
     "rr_belief_population", "rr_postprocess_population",
     "AccuracyReport", "DecisionRule", "beacon_accuracy", "per_snp_expected_utility",
@@ -112,9 +109,8 @@ __all__ = [
     "SharingMode", "branch_tables", "perturb_population", "perturb_sequence",
     "sharing_probs",
     "BRUTE_FORCE_MAX_SNPS", "EXACT_METHOD_MAX_SNPS", "OrderPolicy",
-    "brute_force_order", "expected_utility_of_order", "greedy_order",
-    "greedy_share", "optimal_order_value_iteration", "perturb_with_policy",
-    "random_order",
+    "brute_force_order", "expected_utility_of_order", "greedy_share",
+    "optimal_order_value_iteration", "random_order",
     "FrequencyEstimate", "PerturbParams", "rr_estimate_frequencies", "rr_params",
     "rr_perturb",
 ]

@@ -120,17 +120,6 @@ def attack_population(
     return AttackerBelief(probs=probs, eliminated=eliminated, fallback=fallback)
 
 
-def attack(y, corr: CorrelationModel, config: AttackConfig, assumed_order=None) -> AttackerBelief:
-    """Attack a single reported row; see attack_population."""
-    y = _as_genotype_array(y, "reported values")
-    if y.ndim != 1:
-        raise ValueError(f"reported row must be 1-D, got shape {y.shape}")
-    belief = attack_population(y[None, :], corr, config, assumed_order)
-    return AttackerBelief(
-        probs=belief.probs[0], eliminated=belief.eliminated[0], fallback=belief.fallback[0]
-    )
-
-
 def recover_possible_inputs(
     y, corr: CorrelationModel, tau_hat: float, gamma_hat: float, order
 ) -> np.ndarray:

@@ -77,12 +77,15 @@ def _mode(text: str) -> SharingMode:
     return SharingMode(text)
 
 
-def _load_corr(args, matrix: GenotypeMatrix | None = None) -> CorrelationModel:
-    if getattr(args, "corr", None):
-        return CorrelationModel.from_json(args.corr)
-    if matrix is None:
-        matrix = load_genotype_matrix(args.data)
-    return compute_correlation_model(matrix, getattr(args, "pseudo_count", 0.0))
+def _load_corr(args, matrix: GenotypeMatrix) -> CorrelationModel:
+    """The --corr model, checked to cover --data's SNPs; fitted to --data
+    when --corr is omitted."""
+    if not args.corr:
+        return compute_correlation_model(matrix, args.pseudo_count)
+    corr = CorrelationModel.from_json(args.corr)
+    if corr.l != matrix.l:
+        raise ValueError(f"--corr {args.corr} covers {corr.l} SNPs, --data {args.data} has {matrix.l}")
+    return corr
 
 
 def _cmd_gen(args) -> int:
@@ -117,7 +120,7 @@ def _cmd_perturb(args) -> int:
         )
         order_seed, noise_seed = child_seeds(seed, 2)
         order = random_order(matrix.l, order_seed)
-        out = perturb_population(matrix, order, corr, config, noise_seed).matrix()
+        out = GenotypeMatrix(perturb_population(matrix, order, corr, config, noise_seed).values)
         if args.order_out:
             Path(args.order_out).write_text(" ".join(str(i) for i in order) + "\n", encoding="utf-8")
             print(f"wrote {args.order_out}")
@@ -133,12 +136,15 @@ def _read_order(path, l: int) -> tuple[int, ...]:
         order = [int(token) for token in text.split()]
     except ValueError as exc:
         raise ValueError(f"{path}: an order is space-separated SNP indices") from exc
-    return _validate_order(order, l)
+    try:
+        return _validate_order(order, l)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_attack(args) -> int:
     reported = load_genotype_matrix(args.data)
-    corr = CorrelationModel.from_json(args.corr)
+    corr = _load_corr(args, reported)
     known = order = None
     if args.tau_hat is not None or args.gamma_hat is not None:
         if args.tau_hat is None or args.gamma_hat is None:
@@ -254,7 +260,7 @@ def _cmd_order(args) -> int:
         order = _policy_modal_order(policy, matrix.l)
     print(" ".join(str(i) for i in order))
     if value is None and matrix.l <= ordering.EXACT_METHOD_MAX_SNPS:
-        value = expected_utility_of_order(row, order, corr, config, method="exact")
+        value = expected_utility_of_order(row, order, corr, config)
     if value is not None:
         print("expected_utility=" + _fmt(value))
     return 0
@@ -282,7 +288,11 @@ def _cmd_kinship(args) -> int:
         else:
             print(_fmt(indirect_budget_two_children(args.epsilon)))
     else:  # general
-        family = FamilyState.from_json(Path(args.family).read_text(encoding="utf-8"))
+        text = Path(args.family).read_text(encoding="utf-8")
+        try:
+            family = FamilyState.from_json(text)
+        except ValueError as exc:
+            raise GenotypeParseError(f"{args.family}: {exc}") from None
         print(_fmt(max_budget_general(family, args.snp, args.next_sharer)))
     return 0
 

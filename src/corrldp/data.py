@@ -27,7 +27,8 @@ class GenotypeError(ValueError):
 
 
 class GenotypeParseError(GenotypeError):
-    """A genotype file failed to parse; message pinpoints row/column."""
+    """An input file failed to parse; the message names the path and the fault
+    (for a genotype file, its row and column)."""
 
 
 def _as_genotype_array(values, name: str = "values") -> np.ndarray:

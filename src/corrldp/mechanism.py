@@ -174,9 +174,6 @@ class PopulationShare:
     eliminated: np.ndarray  # (n, l, 3) bool
     order: tuple[int, ...]
 
-    def matrix(self) -> GenotypeMatrix:
-        return GenotypeMatrix(self.values)
-
 
 # Picks the next SNP from (the (n, a - 1) orders so far, counters (n, l, 3),
 # values (n, l)): one index for every row, or an (n,) array of one per row.

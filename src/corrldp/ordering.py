@@ -32,8 +32,6 @@ from .beacon import per_snp_expected_utility
 from .data import (
     STATES,
     CorrelationModel,
-    GenotypeMatrix,
-    _as_genotype_array,
     as_seed_sequence,
     child_seeds,
 )
@@ -46,7 +44,6 @@ from .mechanism import (
     _share_rows,
     _validate_order,
     branch_tables,
-    perturb_population,
 )
 
 ProcessingOrder = tuple[int, ...]
@@ -236,33 +233,12 @@ def optimal_order_value_iteration(
 
 
 def expected_utility_of_order(
-    row,
-    order: Sequence[int],
-    corr: CorrelationModel,
-    config: MechanismConfig,
-    method: str = "exact",
-    trials: int = 1000,
-    rng_seed: int = 0,
+    row, order: Sequence[int], corr: CorrelationModel, config: MechanismConfig
 ) -> float:
-    """Expected total beacon utility of sharing ``row`` in a fixed order.
-
-    ``method="exact"`` walks the full outcome tree (memoized, capped at
-    EXACT_METHOD_MAX_SNPS); ``method="monte_carlo"`` averages realized
-    utility over seeded trials.
-    """
-    row = _as_genotype_array(row, "row")
-    l = row.size
-    order = _validate_order(order, l)
-    if method == "monte_carlo":
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        # trial t is row t of the tiled matrix, drawn from the seed's t-th child
-        tiled = GenotypeMatrix(np.tile(row, (trials, 1)))
-        share = perturb_population(tiled, order, corr, config, rng_seed)
-        return int(np.count_nonzero((share.values > 0) == (row > 0))) / trials
-    if method != "exact":
-        raise ValueError(f"method must be 'exact' or 'monte_carlo', got {method!r}")
-    solver = _ExactSolver(row, corr, config, order)
+    """Expected total beacon utility of sharing ``row`` in a fixed order,
+    over the full outcome tree (memoized, capped at EXACT_METHOD_MAX_SNPS)."""
+    row = _as_row(row, corr)
+    solver = _ExactSolver(row, corr, config, _validate_order(order, row.size))
     return solver.value(*solver.initial())[0]
 
 
@@ -271,13 +247,13 @@ def brute_force_order(
 ) -> tuple[ProcessingOrder, float]:
     """Best static order by exhaustive enumeration (lexicographically first
     among ties).  Capped at BRUTE_FORCE_MAX_SNPS."""
-    row = _as_genotype_array(row, "row")
+    row = _as_row(row, corr)
     l = row.size
     if l > BRUTE_FORCE_MAX_SNPS:
         raise ValueError(f"brute force supports at most {BRUTE_FORCE_MAX_SNPS} SNPs, got {l}")
     best_order, best_val = None, -1.0
     for perm in itertools.permutations(range(l)):
-        val = expected_utility_of_order(row, perm, corr, config, method="exact")
+        val = expected_utility_of_order(row, perm, corr, config)
         if val > best_val:
             best_order, best_val = perm, val
     return best_order, best_val
@@ -328,13 +304,6 @@ def greedy_share(
     return seq.order, seq
 
 
-def greedy_order(
-    row, corr: CorrelationModel, config: MechanismConfig, rng_seed
-) -> ProcessingOrder:
-    """The order greedy_share would take; see greedy_share for replaying it."""
-    return greedy_share(row, corr, config, rng_seed)[0]
-
-
 def _policy_chooser(policy: OrderPolicy):
     """The next SNP is ``policy``'s action on the row's realized prefix."""
 
@@ -357,14 +326,3 @@ def _optimal_rows(
         shares.append(_share_rows(row[None, :], _policy_chooser(policy), corr, config, [seed]))
         del policy  # free this row's states before the next row's solve
     return tuple(np.concatenate(parts) for parts in zip(*shares))
-
-
-def perturb_with_policy(
-    row, policy: OrderPolicy, corr: CorrelationModel, config: MechanismConfig, rng_seed
-) -> PerturbedSequence:
-    """Realize an adaptive policy: each next SNP may depend on past reports.
-
-    One uniform per step, same convention as perturb_sequence."""
-    row = _as_row(row, corr)
-    shared = _share_rows(row[None, :], _policy_chooser(policy), corr, config, [rng_seed])
-    return _first_row(shared)

@@ -49,7 +49,7 @@ from corrldp.mechanism import (
 from corrldp.ordering import (
     brute_force_order,
     expected_utility_of_order,
-    greedy_order,
+    greedy_share,
     optimal_order_value_iteration,
     random_order,
 )
@@ -159,7 +159,7 @@ def test_criterion_04_greedy_order_near_optimal_beats_random():
         )
         row = data.row(seed % data.n)
         _, v_opt = optimal_order_value_iteration(row, corr, cfg)
-        g = greedy_order(row, corr, cfg, rng_seed=1000 + seed)
+        g = greedy_share(row, corr, cfg, rng_seed=1000 + seed)[0]
         v_greedy = expected_utility_of_order(row, g, corr, cfg)
         r = random_order(len(row), 2000 + seed)
         v_random = expected_utility_of_order(row, r, corr, cfg)

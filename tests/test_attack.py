@@ -11,7 +11,6 @@ from support import custom_corr, uniform_corr
 
 from corrldp.attack import (
     AttackConfig,
-    attack,
     attack_population,
     estimation_error,
     population_estimation_error,
@@ -60,10 +59,10 @@ def test_elimination_renormalizes_profile():
     # (2/3, 1/3, 0)
     corr = custom_corr(2, {(0, 1, 0): (0.5, 0.499, 0.001)})
     config = AttackConfig(epsilon_known=LN2, tau=0.02, gamma=0.5)
-    belief = attack([0, 0], corr, config)
-    assert belief.eliminated[0].tolist() == [False, False, True]
-    assert belief.probs[0] == pytest.approx([2 / 3, 1 / 3, 0.0])
-    assert belief.probs[1] == pytest.approx([0.5, 0.25, 0.25])
+    belief = attack_population(np.array([[0, 0]]), corr, config)
+    assert belief.eliminated[0, 0].tolist() == [False, False, True]
+    assert belief.probs[0, 0] == pytest.approx([2 / 3, 1 / 3, 0.0])
+    assert belief.probs[0, 1] == pytest.approx([0.5, 0.25, 0.25])
     assert not belief.fallback.any()
 
 
@@ -71,11 +70,11 @@ def test_gamma_zero_rules_out_everything_and_falls_back():
     corr = uniform_corr(4)
     y = np.array([0, 1, 2, 0])
     config = AttackConfig(epsilon_known=1.0, tau=0.2, gamma=0.0)
-    belief = attack(y, corr, config)
+    belief = attack_population(y[None], corr, config)
     assert belief.eliminated.all()
     assert belief.fallback.all()
     baseline = rr_belief_population(y, 1.0)
-    assert np.allclose(belief.probs, baseline.probs[0], atol=1e-9)
+    assert np.allclose(belief.probs, baseline.probs, atol=1e-9)
 
 
 def test_large_gamma_never_triggers():
@@ -83,10 +82,10 @@ def test_large_gamma_never_triggers():
     corr = uniform_corr(4)
     y = np.array([2, 0, 1, 1])
     config = AttackConfig(epsilon_known=0.7, tau=0.2, gamma=1.0)
-    belief = attack(y, corr, config)
+    belief = attack_population(y[None], corr, config)
     assert not belief.eliminated.any()
     baseline = rr_belief_population(y, 0.7)
-    assert np.allclose(belief.probs, baseline.probs[0], atol=1e-9)
+    assert np.allclose(belief.probs, baseline.probs, atol=1e-9)
 
 
 def test_single_row_matches_population_call():
@@ -95,10 +94,10 @@ def test_single_row_matches_population_call():
     config = AttackConfig(epsilon_known=1.0, tau=0.2, gamma=0.3)
     pop = attack_population(m.values, corr, config)
     for j in range(5):
-        single = attack(m.values[j], corr, config)
-        assert np.allclose(single.probs, pop.probs[j])
-        assert np.array_equal(single.eliminated, pop.eliminated[j])
-        assert np.array_equal(single.fallback, pop.fallback[j])
+        single = attack_population(m.values[j][None], corr, config)
+        assert np.allclose(single.probs[0], pop.probs[j])
+        assert np.array_equal(single.eliminated[0], pop.eliminated[j])
+        assert np.array_equal(single.fallback[0], pop.fallback[j])
 
 
 def test_estimation_error_hand_values():
@@ -194,10 +193,10 @@ def test_attack_under_per_row_orders_matches_row_by_row():
     known = AttackConfig(epsilon_known=1.0, tau=0.15, gamma=0.4, mechanism_params_known=(0.2, 0.3))
     block = attack_population(values, corr, known, assumed_order=orders)
     for j in range(12):
-        row = attack(values[j], corr, known, assumed_order=orders[j])
-        assert np.array_equal(block.probs[j], row.probs), f"row {j}"
-        assert np.array_equal(block.eliminated[j], row.eliminated), f"row {j}"
-        assert np.array_equal(block.fallback[j], row.fallback), f"row {j}"
+        row = attack_population(values[j][None], corr, known, assumed_order=orders[j])
+        assert np.array_equal(block.probs[j], row.probs[0]), f"row {j}"
+        assert np.array_equal(block.eliminated[j], row.eliminated[0]), f"row {j}"
+        assert np.array_equal(block.fallback[j], row.fallback[0]), f"row {j}"
     with pytest.raises(ValueError, match=r"int64 \(5, 9\)"):
         recover_possible_inputs(values, corr, 0.2, 0.3, orders[:5])
     with pytest.raises(ValueError, match="in row 3"):

@@ -179,7 +179,7 @@ def test_attack_order_flag_errors(tmp_path, capsys):
     for name, text in (("word.txt", "0 1 x 3 4"), ("short.txt", "0 1 2"), ("twice.txt", "0 0 1 2 3")):
         (tmp_path / name).write_text(text)
         code, _, err = run_cli(base + known + ["--order", str(tmp_path / name)], capsys)
-        assert code == 2 and "usage error" in err, name
+        assert code == 2 and f"usage error: {tmp_path / name}: " in err, name
     (tmp_path / "good.txt").write_text("4 3 2 1 0\n")
     code, _, err = run_cli(base + ["--order", str(tmp_path / "good.txt")], capsys)
     assert code == 2 and "--tau-hat" in err
@@ -189,6 +189,24 @@ def test_attack_order_flag_errors(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and "--order-out" in err
+
+
+def test_model_of_another_width_names_both_files(tmp_path, capsys):
+    data = _gen(tmp_path, capsys, l=5)
+    wide, model = _gen(tmp_path, capsys, name="wide.txt", l=7), tmp_path / "wide.json"
+    run_cli(["corr", "--data", str(wide), "--out", str(model)], capsys)
+    out = str(tmp_path / "out.txt")
+    commands = [
+        ["perturb", "--data", str(data), "--corr", str(model), "--epsilon", "1.0", "--out", out],
+        ["attack", "--data", str(data), "--corr", str(model), "--epsilon", "1.0", "--out", out],
+    ] + [
+        ["order", "--data", str(data), "--corr", str(model), "--epsilon", "1.0", "--order", strategy]
+        for strategy in ("random", "greedy", "optimal")
+    ]
+    for argv in commands:
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 2 and stdout == "", argv
+        assert f"--corr {model} covers 7 SNPs, --data {data} has 5" in err, argv
 
 
 @pytest.mark.parametrize(
@@ -407,6 +425,19 @@ def test_kinship_general_solver(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and "usage error" in err
+
+
+def test_malformed_family_file_exits_1(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    no_child_budget = {"shape": "one_child_to_parent", "budgets": {"parent": 1.0}}
+    for text in ("{not json", json.dumps(no_child_budget)):
+        family.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(
+            ["kinship", "general", "--family", str(family), "--snp", "0", "--next-sharer", "child"],
+            capsys,
+        )
+        assert code == 1 and out == "", text
+        assert err.startswith(f"error: {family}: "), text
 
 
 def test_leakage_prints_bound(tmp_path, capsys):

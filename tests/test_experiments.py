@@ -220,7 +220,7 @@ def test_greedy_replay_error_is_the_mean_of_per_row_errors():
     import numpy as np
 
     from corrldp import experiments
-    from corrldp.attack import AttackConfig, attack, estimation_error
+    from corrldp.attack import AttackConfig, attack_population, estimation_error
     from corrldp.data import child_seeds, compute_correlation_model
     from corrldp.mechanism import MechanismConfig
     from corrldp.ordering import greedy_share
@@ -245,7 +245,10 @@ def test_greedy_replay_error_is_the_mean_of_per_row_errors():
         assert order == tuple(orders[j]) and np.array_equal(seq.values, values[j])
     known = AttackConfig(1.0, config.tau, config.gamma, (config.tau_hat, config.gamma_hat))
     errors = [
-        estimation_error(attack(values[j], corr, known, assumed_order=orders[j]).probs, matrix.row(j))
+        estimation_error(
+            attack_population(values[j][None], corr, known, assumed_order=orders[j]).probs[0],
+            matrix.row(j),
+        )
         for j in range(matrix.n)
     ]
     assert abs(result.metrics["e_prop_attack"] - float(np.mean(errors))) <= 1e-12

@@ -9,8 +9,14 @@ import pytest
 from support import MdpSpec, custom_corr, reference_greedy, reference_optimal_value, uniform_corr
 
 from corrldp.attack import recover_possible_inputs
-from corrldp.data import SyntheticSpec, child_seeds, compute_correlation_model, generate_synthetic_population
-from corrldp.mechanism import MechanismConfig, SharingMode, perturb_sequence
+from corrldp.data import (
+    GenotypeMatrix,
+    SyntheticSpec,
+    child_seeds,
+    compute_correlation_model,
+    generate_synthetic_population,
+)
+from corrldp.mechanism import MechanismConfig, SharingMode, perturb_population, perturb_sequence
 from corrldp.ordering import (
     BRUTE_FORCE_MAX_SNPS,
     EXACT_METHOD_MAX_SNPS,
@@ -18,10 +24,8 @@ from corrldp.ordering import (
     _optimal_rows,
     brute_force_order,
     expected_utility_of_order,
-    greedy_order,
     greedy_share,
     optimal_order_value_iteration,
-    perturb_with_policy,
     random_order,
 )
 from corrldp.rr import rr_params
@@ -117,7 +121,7 @@ def test_fixed_order_evaluation_matches_reference():
     for row, corr, cfg in _instances(6, seed0=300):
         spec = MdpSpec(row=tuple(int(v) for v in row), corr=corr, config=cfg)
         for order in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)):
-            got = expected_utility_of_order(row, order, corr, cfg, method="exact")
+            got = expected_utility_of_order(row, order, corr, cfg)
             assert got == pytest.approx(_reference_order_value(spec, order), abs=1e-9)
 
 
@@ -129,7 +133,7 @@ def test_adaptive_optimum_dominates_static_orders():
         assert value >= best_static - 1e-9
         # brute force really is the max over all static orders
         for order in itertools.permutations(range(4)):
-            v = expected_utility_of_order(row, order, corr, cfg, method="exact")
+            v = expected_utility_of_order(row, order, corr, cfg)
             assert best_static >= v - 1e-12
 
 
@@ -143,7 +147,7 @@ def test_independent_snps_make_order_irrelevant():
     _, value = optimal_order_value_iteration(row, corr, cfg)
     assert value == pytest.approx(expected, abs=1e-12)
     for order in itertools.permutations(range(4)):
-        v = expected_utility_of_order(row, order, corr, cfg, method="exact")
+        v = expected_utility_of_order(row, order, corr, cfg)
         assert v == pytest.approx(expected, abs=1e-12)
 
 
@@ -177,20 +181,17 @@ def test_monte_carlo_agrees_with_exact():
     cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4)
     row = m.row(1)
     order = (4, 0, 2, 1, 3)
-    exact = expected_utility_of_order(row, order, corr, cfg, method="exact")
-    mc = expected_utility_of_order(
-        row, order, corr, cfg, method="monte_carlo", trials=4000, rng_seed=7
-    )
+    exact = expected_utility_of_order(row, order, corr, cfg)
+
+    def monte_carlo():
+        # trial t is row t of the tiled matrix, shared on the seed's t-th child
+        share = perturb_population(GenotypeMatrix(np.tile(row, (4000, 1))), order, corr, cfg, 7)
+        return np.count_nonzero((share.values > 0) == (row > 0)) / 4000
+
+    mc = monte_carlo()
     # conservative bound: per-trial utility lies in [0, 5]
     assert abs(mc - exact) < 3 * 2.5 / math.sqrt(4000)
-    repeat = expected_utility_of_order(
-        row, order, corr, cfg, method="monte_carlo", trials=4000, rng_seed=7
-    )
-    assert mc == repeat
-    with pytest.raises(ValueError, match="method"):
-        expected_utility_of_order(row, order, corr, cfg, method="nope")
-    with pytest.raises(ValueError, match="trials"):
-        expected_utility_of_order(row, order, corr, cfg, method="monte_carlo", trials=0)
+    assert mc == monte_carlo()
 
 
 def test_capacity_limits():
@@ -201,15 +202,23 @@ def test_capacity_limits():
     with pytest.raises(ValueError, match="supports at most"):
         optimal_order_value_iteration(row, corr, cfg)
     with pytest.raises(ValueError, match="supports at most"):
-        expected_utility_of_order(row, tuple(range(l_big)), corr, cfg, method="exact")
-    # Monte Carlo has no cap
-    v = expected_utility_of_order(
-        row, tuple(range(l_big)), corr, cfg, method="monte_carlo", trials=5
-    )
-    assert 0.0 <= v <= l_big
+        expected_utility_of_order(row, tuple(range(l_big)), corr, cfg)
     l_brute = BRUTE_FORCE_MAX_SNPS + 1
     with pytest.raises(ValueError, match="supports at most"):
         brute_force_order([0] * l_brute, uniform_corr(l_brute), cfg)
+
+
+def test_exact_evaluation_checks_the_row_against_the_model():
+    corr = uniform_corr(8)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.5)
+    for row in ([0] * 5, [0] * 9):
+        message = f"correlation model covers 8 SNPs, row has {len(row)}"
+        with pytest.raises(ValueError, match=message):
+            expected_utility_of_order(row, tuple(range(len(row))), corr, cfg)
+        with pytest.raises(ValueError, match=message):
+            brute_force_order(row, corr, cfg)
+        with pytest.raises(ValueError, match=message):
+            optimal_order_value_iteration(row, corr, cfg)
 
 
 # ------------------------------------------------------------------- greedy
@@ -224,7 +233,7 @@ def test_greedy_prefers_guaranteed_class_preservation():
     cfg = MechanismConfig(epsilon=LN2, tau_hat=0.02, gamma_hat=0.5)
     row = [1, 0, 0]
     for seed in range(5):
-        assert greedy_order(row, corr, cfg, seed) == (0, 1, 2)
+        assert greedy_share(row, corr, cfg, seed)[0] == (0, 1, 2)
     _, value = optimal_order_value_iteration(row, corr, cfg)
     assert value == pytest.approx(0.75 + 1.0 + 0.5, abs=1e-12)
 
@@ -233,7 +242,7 @@ def test_greedy_is_deterministic_per_seed_and_randomizes_ties():
     corr = uniform_corr(4)
     cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.5)
     row = [1, 1, 1, 1]  # identical utilities everywhere: pure tie-breaking
-    orders = {greedy_order(row, corr, cfg, seed) for seed in range(20)}
+    orders = {greedy_share(row, corr, cfg, seed)[0] for seed in range(20)}
     assert len(orders) > 1
     for seed in (0, 11):
         a = greedy_share(row, corr, cfg, seed)
@@ -277,23 +286,6 @@ def test_greedy_share_matches_reference_greedy():
         order, seq = greedy_share([2] * 6, corr, cfg, seed)
         ref_order, ref_values = reference_greedy([2] * 6, corr, cfg, seed)
         assert order == ref_order and np.array_equal(seq.values, ref_values)
-
-
-def test_perturb_with_policy_follows_policy():
-    m = generate_synthetic_population(SyntheticSpec(n=15, l=5, maf=0.3, rho=0.85), 503)
-    corr = compute_correlation_model(m)
-    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4)
-    row = m.row(2)
-    policy, _ = optimal_order_value_iteration(row, corr, cfg)
-    a = perturb_with_policy(row, policy, corr, cfg, 9)
-    b = perturb_with_policy(row, policy, corr, cfg, 9)
-    assert np.array_equal(a.values, b.values)
-    assert a.order == b.order
-    # the realized order replays the policy decision at every prefix
-    prefix = []
-    for i in a.order:
-        assert policy.action(prefix) == i
-        prefix.append((i, int(a.values[i])))
 
 
 # --------------------------------------------------------- population orders
@@ -345,16 +337,42 @@ def test_replay_under_per_row_orders_reproduces_greedy_elimination():
     assert np.array_equal(possible, ~eliminated)
 
 
+def test_perturb_with_policy_follows_policy():
+    # sharing one row under its exact policy is the one-row case of _optimal_rows
+    m = generate_synthetic_population(SyntheticSpec(n=15, l=5, maf=0.3, rho=0.85), 503)
+    corr = compute_correlation_model(m)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4)
+    row = m.row(2)
+    policy, _ = optimal_order_value_iteration(row, corr, cfg)
+    a_values, _, a_orders = _optimal_rows(row[None, :], corr, cfg, [9])
+    b_values, _, b_orders = _optimal_rows(row[None, :], corr, cfg, [9])
+    assert np.array_equal(a_values, b_values)
+    assert np.array_equal(a_orders, b_orders)
+    # the realized order replays the policy decision at every prefix
+    prefix = []
+    for i in a_orders[0]:
+        assert policy.action(prefix) == i
+        prefix.append((int(i), int(a_values[0, i])))
+
+
 def test_population_optimal_matches_policy_row_by_row():
     X, corr = _greedy_block(701, n=6, l=6)
     cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.4)
     seeds = child_seeds(5, 6)
     values, eliminated, orders = _optimal_rows(X, corr, cfg, seeds)
+    again = _optimal_rows(X, corr, cfg, seeds)
+    assert all(np.array_equal(a, b) for a, b in zip((values, eliminated, orders), again))
     for j in range(6):
+        # the realized order replays the policy decision at every prefix
         policy, _ = optimal_order_value_iteration(X[j], corr, cfg)
-        seq = perturb_with_policy(X[j], policy, corr, cfg, seeds[j])
-        assert seq.order == tuple(orders[j]), f"row {j}"
-        assert np.array_equal(seq.values, values[j]) and np.array_equal(seq.eliminated, eliminated[j])
+        prefix = []
+        for i in orders[j]:
+            assert policy.action(prefix) == i, f"row {j}"
+            prefix.append((int(i), int(values[j, i])))
+        # and sharing the row in that order on its seed gives the same reports
+        seq = perturb_sequence(X[j], orders[j], corr, cfg, seeds[j])
+        assert np.array_equal(seq.values, values[j]), f"row {j}"
+        assert np.array_equal(seq.eliminated, eliminated[j]), f"row {j}"
 
 
 def test_seeded_calls_do_not_depend_on_seed_reuse():
