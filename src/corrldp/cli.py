@@ -21,7 +21,6 @@ failure (the offending path is named), 2 flag/usage errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 from pathlib import Path

@@ -16,8 +16,10 @@ policy takes the best immediate expected utility and samples as it goes;
 Everything here is exponential in the worst case, so the exact solver caps
 at EXACT_METHOD_MAX_SNPS and full order enumeration at BRUTE_FORCE_MAX_SNPS.
 The exact solver collapses prefixes that no future elimination test can tell
-apart (same remaining set, same counters after saturating at the largest
-threshold any position can demand), which keeps realistic instances small.
+apart: same remaining set, and same counters after saturating each at the
+largest threshold any position can demand and zeroing each dead one (a counter
+too low to reach any threshold before its SNP is shared).  That keeps
+realistic instances small.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ def _utility_table(probs: np.ndarray) -> np.ndarray:
 # addition, shift and mask compares every counter with the same threshold.
 _FIELD = 5
 _TOP = _FIELD - 1
+_FIELD_MASK = (1 << _FIELD) - 1
 _BITS_OF_CHUNK = {
     sum(1 << (_FIELD * v) for v in STATES if bits >> v & 1): bits for bits in range(8)
 }
@@ -84,7 +87,11 @@ _CHUNK_LOWS = sum(1 << (_FIELD * v) for v in STATES)
 
 
 class _ExactSolver:
-    """Backward-induction solver over (remaining set, saturated counters).
+    """Backward-induction solver over (remaining set, counters).
+
+    Each memo key's counters are saturated at cap and have their dead fields
+    zeroed (see ``alive_at``), so prefixes that no later elimination can tell
+    apart share one entry.
 
     With a fixed ``order`` the only action at position a is ``order[a - 1]``,
     so ``value`` is that order's expected utility instead of the optimum.
@@ -121,15 +128,27 @@ class _ExactSolver:
             for x in STATES
         ]
         self.ones = sum(1 << (_FIELD * s) for s in range(3 * l))
+        # need[p]: the threshold at 1-based position p (an integer counter
+        # reaches gamma_hat * p iff it reaches the ceiling)
+        need = [0] + [math.ceil(config.gamma_hat * p) for p in range(1, l + 1)]
         # a counter at cap already clears every threshold, so it stops there
-        cap = min(max(1, math.ceil(config.gamma_hat * l)), 1 << _TOP)
+        cap = min(max(1, need[l]), 1 << _TOP)
         self.at_cap = ((1 << _TOP) - cap) * self.ones
-        # ge_threshold[p]: added to the counters, tops the fields that reach
-        # gamma_hat * p (an integer counter reaches it iff it reaches the ceiling)
-        self.ge_threshold = [0] + [
-            ((1 << _TOP) - min(math.ceil(config.gamma_hat * p), 1 << _TOP)) * self.ones
-            for p in range(1, l + 1)
-        ]
+        # ge_threshold[p]: added to the counters, tops the fields that reach need[p]
+        self.ge_threshold = [((1 << _TOP) - min(t, 1 << _TOP)) * self.ones for t in need]
+        # A share bumps a field by at most one, so a field below
+        # floor[p] = min over q >= p of need[q] - (q - p), at the next share's
+        # position p, stays below every threshold until its SNP is shared: it
+        # is dead, and zeroing it changes no later elimination.  alive_at[p]:
+        # added to the counters, tops the fields at or above floor[p]; 0 where
+        # no nonzero field can be dead (floor[p] <= 1), and at p = l + 1,
+        # where nothing is left.
+        self.alive_at = [0] * (l + 2)
+        floor = math.inf
+        for p in range(l, 0, -1):
+            floor = min(floor - 1, need[p])
+            if floor > 1:
+                self.alive_at[p] = ((1 << _TOP) - min(floor, 1 << _TOP)) * self.ones
         self.keep = [~(_CHUNK << (3 * _FIELD * i)) for i in range(l)]
         # live[mask]: the low bit of every field of an unshared SNP
         self.live = [0] * (1 << l)
@@ -161,7 +180,11 @@ class _ExactSolver:
         child_mask = mask & ~(1 << snp)
         cc = counters & self.keep[snp]
         saturated = ((cc + self.at_cap) >> _TOP) & self.ones
-        return child_mask, cc + (self.delta[snp][y] & self.live[child_mask] & ~saturated)
+        cc += self.delta[snp][y] & self.live[child_mask] & ~saturated
+        alive = self.alive_at[self.l - child_mask.bit_count() + 1]
+        if alive:
+            cc &= (((cc + alive) >> _TOP) & self.ones) * _FIELD_MASK
+        return child_mask, cc
 
     def value(self, mask: int, counters: int) -> tuple[float, int]:
         """(best expected remaining utility, best next SNP; -1 when done)."""
@@ -172,9 +195,11 @@ class _ExactSolver:
         if hit is not None:
             return hit
         # child() inlined: this loop is the solver's hot path
-        ones, keep, delta, branches = self.ones, self.keep, self.delta, self.branches
+        memo, ones, keep, live, delta = self.memo, self.ones, self.keep, self.live, self.delta
+        row, branches, at_cap = self.row, self.branches, self.at_cap
         position = self.l - mask.bit_count() + 1
         reached = ((counters + self.ge_threshold[position]) >> _TOP) & ones
+        alive = self.alive_at[position + 1]
         best_val, best_act = -1.0, -1
         rest = mask if self.order is None else 1 << self.order[position - 1]
         while rest:
@@ -182,17 +207,21 @@ class _ExactSolver:
             rest ^= low
             i = low.bit_length() - 1
             shift = 3 * _FIELD * i
-            val, report = branches[self.row[i]][_BITS_OF_CHUNK[(reached >> shift) & _CHUNK]]
-            # the shared SNP's own counters reset; every other live counter
-            # below cap may be bumped
+            val, report = branches[row[i]][_BITS_OF_CHUNK[(reached >> shift) & _CHUNK]]
             cm = mask ^ low
-            cc = counters & keep[i]
-            room = self.live[cm] & ~(((cc + self.at_cap) >> _TOP) & ones)
-            for y, p in report:
-                val += p * self.value(cm, cc + (delta[i][y] & room))[0]
+            if cm:  # an empty remaining set is worth 0
+                # the shared SNP's own counters reset; every other live
+                # counter below cap may be bumped, then dead fields zeroed
+                cc = counters & keep[i]
+                room = live[cm] & ~(((cc + at_cap) >> _TOP) & ones)
+                for y, p in report:
+                    cv = cc + (delta[i][y] & room)
+                    if alive:
+                        cv &= (((cv + alive) >> _TOP) & ones) * _FIELD_MASK
+                    val += p * (memo.get((cm, cv)) or self.value(cm, cv))[0]
             if val > best_val:
                 best_val, best_act = val, i
-        self.memo[key] = (best_val, best_act)
+        memo[key] = (best_val, best_act)
         return best_val, best_act
 
     def state_after(self, prefix: Sequence[tuple[int, int]]) -> tuple[int, int]:

@@ -5,7 +5,6 @@ budget where one applies.  Run with ``pytest -v tests/test_acceptance.py``
 for one pass/fail line per requirement.
 """
 
-import csv
 import itertools
 import math
 import statistics
@@ -13,7 +12,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from support import MdpSpec, reference_optimal_value
 

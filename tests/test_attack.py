@@ -26,7 +26,6 @@ from corrldp.data import (
 )
 from corrldp.mechanism import MechanismConfig, perturb_population
 from corrldp.ordering import random_order
-from corrldp.rr import rr_params
 
 LN2 = math.log(2)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from support import exact_params
 
 from corrldp.beacon import (
-    AccuracyReport,
     DecisionRule,
     beacon_accuracy,
     per_snp_expected_utility,

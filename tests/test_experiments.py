@@ -13,7 +13,6 @@ from corrldp.experiments import (
     run_single_trial,
     write_results,
 )
-from corrldp.mechanism import SharingMode
 
 
 def _config(**overrides):

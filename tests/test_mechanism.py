@@ -29,7 +29,7 @@ from corrldp.mechanism import (
     perturb_sequence,
     sharing_probs,
 )
-from corrldp.rr import rr_params, rr_perturb
+from corrldp.rr import rr_params
 
 LN2 = math.log(2)
 

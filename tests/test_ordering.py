@@ -57,7 +57,7 @@ def _reference_policy_value(spec: MdpSpec, policy) -> float:
     return walk(spec.initial_state())
 
 
-def _instances(count, l=4, seed0=200):
+def _instances(count, l=4, seed0=200, gammas=(0.3, 0.5, 0.8)):
     for t in range(count):
         m = generate_synthetic_population(
             SyntheticSpec(n=20, l=l, maf=0.3, rho=0.75), seed0 + t
@@ -66,7 +66,7 @@ def _instances(count, l=4, seed0=200):
         cfg = MechanismConfig(
             epsilon=(0.5, 1.0, 2.0)[t % 3],
             tau_hat=(0.15, 0.25)[t % 2],
-            gamma_hat=(0.3, 0.5, 0.8)[t % 3],
+            gamma_hat=gammas[t % 3],
             mode=SharingMode.BEACON if t % 2 == 0 else SharingMode.PLAIN,
         )
         yield m.row(t % m.n), corr, cfg
@@ -115,6 +115,71 @@ def test_exact_solver_matches_reference_on_small_instances():
         assert value == pytest.approx(reference_optimal_value(spec), abs=1e-9)
         # realizing the policy on raw prefixes achieves exactly that value
         assert _reference_policy_value(spec, policy) == pytest.approx(value, abs=1e-9)
+
+
+def test_exact_solver_matches_reference_where_dead_counters_collapse():
+    # at l = 5 and these gamma_hat, counters can fall below the position's
+    # floor, so the solver merges states the raw-prefix references keep apart;
+    # six instances cover each gamma_hat in both modes
+    orders = ((0, 1, 2, 3, 4), (4, 2, 0, 3, 1), (1, 3, 4, 0, 2))
+    for row, corr, cfg in _instances(6, l=5, seed0=250, gammas=(0.8, 1.0, 1.5)):
+        spec = MdpSpec(row=tuple(int(v) for v in row), corr=corr, config=cfg)
+        policy, value = optimal_order_value_iteration(row, corr, cfg)
+        assert value == pytest.approx(reference_optimal_value(spec), abs=1e-9)
+        assert _reference_policy_value(spec, policy) == pytest.approx(value, abs=1e-9)
+        if cfg.gamma_hat >= 1:
+            # no counter can reach gamma_hat * p at position p: one state per
+            # nonempty remaining set
+            assert len(policy._solver.memo) == 2**5 - 1
+        for order in orders:
+            got = expected_utility_of_order(row, order, corr, cfg)
+            assert got == pytest.approx(_reference_order_value(spec, order), abs=1e-9)
+
+
+def _dead_floor(p, l, gamma_hat):
+    """The smallest counter at 1-based position p that some later position
+    q >= p could see reach its threshold, one bump per share, capped at 16."""
+    return min(16, min(math.ceil(gamma_hat * q) - (q - p) for q in range(p, l + 1)))
+
+
+def test_memo_keys_hold_no_counter_below_the_floor():
+    # gate 04's instance size and configuration
+    l = 10
+    m = generate_synthetic_population(SyntheticSpec(n=10, l=l, maf=0.2, rho=0.8), 0)
+    corr = compute_correlation_model(m)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.8)
+    policy, _ = optimal_order_value_iteration(m.row(0), corr, cfg)
+    seen = set()
+    for mask, counters in policy._solver.memo:
+        p = l - mask.bit_count() + 1
+        floor = _dead_floor(p, l, cfg.gamma_hat)
+        fields = [(counters >> (5 * slot)) & 31 for slot in range(3 * l)]
+        assert counters >> (5 * 3 * l) == 0
+        for slot, c in enumerate(fields):
+            if not mask >> (slot // 3) & 1:
+                assert c == 0, "a shared SNP keeps a counter"
+            assert c == 0 or floor <= c < 16, (p, floor, c)
+            seen.add((p, c))
+    # the check is not vacuous: live counters at and above a positive floor
+    assert any(c > 0 and _dead_floor(p, l, cfg.gamma_hat) > 1 for p, c in seen)
+
+
+def test_policy_on_raw_prefixes_looks_up_the_solved_states():
+    for row, corr, cfg in _instances(4, l=6, seed0=260, gammas=(0.8, 0.5, 1.0)):
+        spec = MdpSpec(row=tuple(int(v) for v in row), corr=corr, config=cfg)
+        policy, _ = optimal_order_value_iteration(row, corr, cfg)
+        solver = policy._solver
+        solved = dict(solver.memo)
+
+        def walk(prefix):
+            if len(prefix) == len(row):
+                return
+            assert solver.state_after(prefix) in solved, prefix
+            for _, nxt, _ in spec.transition(prefix, policy.action(prefix)):
+                walk(nxt)
+
+        walk(())
+        assert solver.memo == solved  # no lookup solved a state anew
 
 
 def test_fixed_order_evaluation_matches_reference():

@@ -1,8 +1,12 @@
-"""The package's public surface."""
+"""The package's public surface, and no unused imports in its modules or scripts."""
 
+import ast
 import types
+from pathlib import Path
 
 import corrldp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_names_functions_and_classes_not_submodules():
@@ -12,3 +16,34 @@ def test_all_names_functions_and_classes_not_submodules():
     for name in ("attack", "beacon", "data", "mechanism", "ordering", "rr", "experiments"):
         assert name not in corrldp.__all__
     assert {"attack_population", "rr_postprocess_population", "perturb_population"} <= set(corrldp.__all__)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module's top-level imports bind that its code never reads."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_modules_and_scripts_have_no_unused_imports():
+    paths = [p for p in (ROOT / "src" / "corrldp").glob("*.py") if p.name != "__init__.py"]
+    paths += (ROOT / "scripts").glob("*.py")
+    assert len(paths) > 10
+    unused = {p.relative_to(ROOT).as_posix(): names for p in paths if (names := _unused_imports(p))}
+    assert unused == {}
+
+
+def test_unused_import_scan_sees_plain_from_and_dotted_imports(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\nfrom math import pi, tau\n"
+        "print(pi)\n"
+    )
+    assert _unused_imports(module) == ["os", "system", "tau"]
