@@ -68,9 +68,8 @@ def _rr_profile(Y: np.ndarray, epsilon: float) -> np.ndarray:
 
 def _attack_counts(Y: np.ndarray, corr: CorrelationModel, tau: float) -> np.ndarray:
     """counts[j, i, v] = #{k != i : Pr(SNP_i=v | SNP_k=Y[j,k]) defined, < tau}."""
-    mask = corr.low_mask(tau)  # (l, l, 3, 3), diagonal cleared
     n, l = Y.shape
-    M2 = mask.transpose(1, 3, 0, 2).reshape(l * 3, l * 3).astype(np.float32)
+    M2 = corr.increments(tau).reshape(l * 3, l * 3).astype(np.float32)
     onehot = np.zeros((n, l, 3), dtype=np.float32)
     onehot[np.arange(n)[:, None], np.arange(l)[None, :], Y] = 1.0
     counts = onehot.reshape(n, l * 3) @ M2
@@ -140,11 +139,13 @@ def recover_possible_inputs(
     l = Y2.shape[1]
     if order is None:
         raise ValueError("the replay needs the order the rows were shared in; got order=None")
+    if corr.l != l:
+        raise ValueError(f"correlation model covers {corr.l} SNPs, data has {l}")
     order = _validate_order(order, l, rows=Y2.shape[0])
     if not math.isfinite(gamma_hat) or gamma_hat <= 0:
         raise ValueError(f"gamma_hat must be finite and > 0, got {gamma_hat}")
     _, eliminated, _ = _sequential_share(
-        corr.low_mask(tau_hat), gamma_hat, _fixed_order(order), reports=Y2
+        corr.increments(tau_hat), gamma_hat, _fixed_order(order), reports=Y2
     )
     return np.logical_not(eliminated, out=eliminated).reshape(Y.shape + (3,))
 
@@ -185,7 +186,7 @@ def rr_postprocess_population(
     n, l = Y.shape
     if corr.l != l:
         raise ValueError(f"correlation model covers {corr.l} SNPs, data has {l}")
-    low = corr.low_mask(tau)
+    inc = corr.increments(tau)
     idx = np.arange(l)
     defined = ~np.isnan(corr.cond)
     defined[idx, idx] = False  # exclude self-pairs from averages
@@ -208,7 +209,7 @@ def rr_postprocess_population(
             means = np.where(support > 0, sums / np.maximum(support, 1), -1.0)
             means[ruled_out[rows]] = -np.inf
             best = means.argmax(axis=1)  # a survivor, so never the ruled-out report
-            counts[rows] += low[:, i, :, best].astype(np.int32) - low[:, i, :, Y[rows, i]]
+            counts[rows] += inc[i, best].astype(np.int32) - inc[i, Y[rows, i]]
             Y[rows, i] = best
             changed = True
         if not changed:

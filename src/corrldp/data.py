@@ -234,7 +234,7 @@ class CorrelationModel:
 
     cond: np.ndarray
     marginals: np.ndarray
-    _low_mask_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _increments_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         cond = np.asarray(self.cond, dtype=np.float64)
@@ -265,22 +265,28 @@ class CorrelationModel:
         v = self.cond[i, k, a, b]
         return None if np.isnan(v) else float(v)
 
-    def low_mask(self, tau: float) -> np.ndarray:
-        """Boolean (l, l, 3, 3): defined and strictly below tau; diagonal cleared.
+    def increments(self, tau: float) -> np.ndarray:
+        """Read-only boolean (l, 3, l, 3), built once per tau.
 
-        ``low_mask(tau)[i, k, a, b]`` says "seeing SNP_k = b makes SNP_i = a
-        implausible at threshold tau".  Self-pairs never count.
+        ``increments(tau)[k, b, i, v]`` says "sharing SNP k as b counts against
+        SNP_i = v": Pr(SNP_i = v | SNP_k = b) is defined and strictly below tau.
+        Self-pairs never count.  Every counter update reads this table as stored.
         """
         key = float(tau)
-        cached = self._low_mask_cache.get(key)
-        if cached is not None:
-            return cached
-        with np.errstate(invalid="ignore"):
-            mask = ~np.isnan(self.cond) & (self.cond < tau)
-        idx = np.arange(self.l)
-        mask[idx, idx] = False
-        self._low_mask_cache[key] = mask
-        return mask
+        table = self._increments_cache.get(key)
+        if table is None:
+            # an undefined (NaN) conditional compares False, so never counts
+            table = np.ascontiguousarray((self.cond < tau).transpose(1, 3, 0, 2))
+            idx = np.arange(self.l)
+            table[idx, :, idx] = False
+            table.flags.writeable = False
+            self._increments_cache[key] = table
+        return table
+
+    def low_mask(self, tau: float) -> np.ndarray:
+        """``low_mask(tau)[i, k, a, b]``, a view of ``increments(tau)[k, b, i, a]``:
+        seeing SNP_k = b makes SNP_i = a implausible at threshold tau."""
+        return self.increments(tau).transpose(2, 0, 3, 1)
 
     def to_json(self, path) -> None:
         """Write ``{"l": l, "cond": [...], "marginals": [...]}`` with no spaces,

@@ -4,9 +4,10 @@ SNPs are processed in a chosen order.  Before sharing SNP i at (1-based)
 position a, each state v accumulates an inconsistency counter over the
 already-shared prefix: a previously shared (k, y_k) increments the counter
 when Pr(SNP_i = v | SNP_k = y_k) is defined and falls strictly below the
-threshold tau_hat (each state tested independently).  States whose counter
-reaches gamma_hat * a are eliminated, and the report for SNP i is drawn from
-a distribution adjusted to the surviving states:
+threshold tau_hat (each state tested independently), i.e. when the model's
+increment table ``inc[k, y_k, i, v]`` is set (``CorrelationModel.increments``).
+States whose counter reaches gamma_hat * a are eliminated, and the report for
+SNP i is drawn from a distribution adjusted to the surviving states:
 
 * nothing eliminated      -> plain randomized response (p on the truth, q
                              elsewhere);
@@ -211,7 +212,7 @@ def _fixed_order(order) -> _NextSnp:
 
 
 def _sequential_share(
-    low: np.ndarray,
+    inc: np.ndarray,
     gamma_hat: float,
     next_snp: _NextSnp,
     *,
@@ -227,13 +228,11 @@ def _sequential_share(
     gamma_hat * a.  The report is then the inverse-CDF draw of
     ``uniforms[:, a - 1]`` from ``cum[truth[:, i], bits]``, or, when
     ``reports`` is given, the reported value replayed.  Sharing SNP k as b
-    adds one to the row's counter of every state v of every SNP i with
-    ``low[i, k, v, b]`` set (``low`` is the model's low-mask at tau_hat).
+    adds ``inc[k, b]``, the model's increment table at tau_hat, to the row's
+    (l, 3) counters: one to state v of SNP i where ``inc[k, b, i, v]`` is set.
     Returns (values, eliminated, orders), orders being (n, l).
     """
     n, l = (truth if reports is None else reports).shape
-    # inc[k, b] is the (l, 3) counter increment caused by sharing SNP k as b
-    inc = np.ascontiguousarray(low.transpose(1, 3, 0, 2).astype(np.int16))
     counters = np.zeros((n, l, 3), dtype=np.int16)
     values = np.empty((n, l), dtype=np.int8) if reports is None else reports
     eliminated = np.empty((n, l, 3), dtype=bool)
@@ -276,7 +275,7 @@ def _share_rows(
     for j, seed in enumerate(row_seeds):
         uniforms[j] = np.random.default_rng(seed).random(X.shape[1])
     return _sequential_share(
-        corr.low_mask(config.tau_hat), config.gamma_hat, next_snp,
+        corr.increments(config.tau_hat), config.gamma_hat, next_snp,
         truth=X, uniforms=uniforms, cum=cum,
     )
 

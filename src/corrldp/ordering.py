@@ -31,12 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .beacon import per_snp_expected_utility
-from .data import (
-    STATES,
-    CorrelationModel,
-    as_seed_sequence,
-    child_seeds,
-)
+from .data import STATES, CorrelationModel, as_seed_sequence, child_seeds
 from .mechanism import (
     MechanismConfig,
     PerturbedSequence,
@@ -156,19 +151,10 @@ class _ExactSolver:
             low = mask & -mask
             shift = 3 * _FIELD * (low.bit_length() - 1)
             self.live[mask] = self.live[mask ^ low] | _CHUNK_LOWS << shift
-        # delta[k][y]: sharing (k, y) bumps the counter of (i, v) for each
-        # low (i, v | k, y) pair
-        low = corr.low_mask(config.tau_hat)
+        # delta[k][y]: sharing (k, y) bumps slot 3*i + v where inc[k, y, i, v]
+        inc = corr.increments(config.tau_hat)
         self.delta = [
-            [
-                sum(
-                    1 << (_FIELD * (3 * i + v))
-                    for i in range(l)
-                    for v in STATES
-                    if low[i, k, v, y]
-                )
-                for y in STATES
-            ]
+            [sum(1 << (_FIELD * s) for s in np.flatnonzero(inc[k, y]).tolist()) for y in STATES]
             for k in range(l)
         ]
         self.memo: dict[tuple[int, int], tuple[float, int]] = {}
@@ -334,11 +320,17 @@ def greedy_share(
 
 
 def _policy_chooser(policy: OrderPolicy):
-    """The next SNP is ``policy``'s action on the row's realized prefix."""
+    """The next SNP is ``policy``'s action on the row's realized prefix; the
+    solver's state steps once per share instead of replaying the prefix."""
+    solver = policy._solver
+    state = solver.initial()
 
     def next_snp(taken, counters, values) -> np.ndarray:
-        prefix = np.stack([taken[0], values[0, taken[0]]], axis=1)
-        return np.array([policy.action(prefix.tolist())])
+        nonlocal state
+        if taken.shape[1]:
+            k = int(taken[0, -1])
+            state = solver.child(*state, k, int(values[0, k]))
+        return np.array([solver.value(*state)[1]])
 
     return next_snp
 

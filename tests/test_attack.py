@@ -409,3 +409,13 @@ def test_postprocess_empty_matrix_and_model_size():
         rr_postprocess_population(np.zeros((2, 3), dtype=int), corr, 0.2, 0.5)
     with pytest.raises(ValueError, match="correlation model covers 4 SNPs"):
         rr_postprocess_population(np.zeros(5, dtype=int), corr, 0.2, 0.5)
+
+
+def test_replay_rejects_a_model_of_another_width():
+    corr = uniform_corr(6)
+    Y = np.zeros((20, 4), dtype=int)
+    with pytest.raises(ValueError, match="correlation model covers 6 SNPs, data has 4"):
+        recover_possible_inputs(Y, corr, 0.2, 0.5, list(range(4)))
+    config = AttackConfig(epsilon_known=1.0, tau=0.2, gamma=0.5, mechanism_params_known=(0.2, 0.5))
+    with pytest.raises(ValueError, match="correlation model covers 6 SNPs, data has 4"):
+        attack_population(Y, corr, config, list(range(4)))

@@ -259,6 +259,49 @@ def test_low_mask_semantics():
     assert not mask[0, 1, 2, 2]  # column 1 never equals 2: undefined
 
 
+_NULL_CELLS = np.array([[0, 0], [0, 1], [1, 1]])  # column 1 never equals 2
+_CHAIN = generate_synthetic_population(SyntheticSpec(n=40, l=6, maf=0.2, rho=0.9), 3).values
+
+
+@pytest.mark.parametrize(
+    "values, pseudo_count, tau",
+    [
+        (_NULL_CELLS, 0.0, 0.6),
+        (_CHAIN, 0.0, 0.3),
+        (_CHAIN, 0.5, 0.3),
+        (_CHAIN[:, :1], 0.0, 0.5),
+        (_CHAIN[:, :1], 0.5, 0.5),
+    ],
+    ids=["null-cells", "chain", "chain-pc0.5", "l1", "l1-pc0.5"],
+)
+def test_increments_is_the_low_test_laid_out_k_b_i_v(values, pseudo_count, tau):
+    corr = compute_correlation_model(GenotypeMatrix(values), pseudo_count=pseudo_count)
+    l = corr.l
+    with np.errstate(invalid="ignore"):
+        expected = ~np.isnan(corr.cond) & (corr.cond < tau)  # [i, k, v, b]
+    expected[np.arange(l), np.arange(l)] = False
+    inc = corr.increments(tau)
+    assert inc.dtype == bool and inc.shape == (l, 3, l, 3) and inc.flags.c_contiguous
+    assert np.array_equal(inc, expected.transpose(1, 3, 0, 2))
+    assert np.array_equal(corr.low_mask(tau), expected)
+    if values is _NULL_CELLS:
+        assert np.isnan(corr.cond).any()
+
+
+def test_increments_is_one_read_only_table_per_tau():
+    corr = compute_correlation_model(GenotypeMatrix(np.array([[0, 0], [0, 1], [1, 1]])))
+    inc = corr.increments(0.6)
+    with pytest.raises(ValueError, match="read-only"):
+        inc[0, 0, 1, 0] = True
+    with pytest.raises(ValueError, match="read-only"):
+        corr.low_mask(0.6)[0, 1, 2, 1] = False
+    assert np.shares_memory(corr.low_mask(0.6), inc)
+    assert corr.increments(0.6) is inc and corr.increments(np.float64(0.6)) is inc
+    corr.increments(0.3)
+    corr.low_mask(0.3)
+    assert sorted(corr._increments_cache) == [0.3, 0.6]
+
+
 def test_correlation_model_json_round_trip(tmp_path):
     values = np.array([[0, 0], [0, 1]])  # includes undefined cells
     corr = compute_correlation_model(GenotypeMatrix(values))

@@ -47,3 +47,15 @@ def test_unused_import_scan_sees_plain_from_and_dotted_imports(tmp_path):
         "print(pi)\n"
     )
     assert _unused_imports(module) == ["os", "system", "tau"]
+
+
+def test_only_the_model_lays_out_the_increment_table():
+    # CorrelationModel.increments is stored as every reader takes it; no other
+    # module asks for the [i, k, a, b] view or re-lays the table out
+    offenders = [
+        p.name
+        for p in (ROOT / "src" / "corrldp").glob("*.py")
+        if p.name != "data.py"
+        and ("low_mask(" in (text := p.read_text()) or "transpose(1, 3, 0, 2)" in text)
+    ]
+    assert offenders == []
