@@ -28,13 +28,13 @@ def test_every_script_is_covered():
     "name, argv, expect",
     [
         ("run_order_benchmark", ["--instances", "2", "--l", "5"], "mean per-SNP gap"),
-        ("run_order_benchmark", ["--instances", "2", "--l", "5"], "s total, memo states mean "),
         (
             "run_directional_comparison",
             ["--trials", "1", "--epsilon-grid", "1.0"],
             "ran 1 trials",
         ),
         ("demo_pipeline", ["--workdir", "{tmp}"], "intermediate files kept in"),
+        ("run_order_benchmark", ["--instances", "2", "--l", "5"], "s total, memo states mean "),
     ],
 )
 def test_script_runs(name, argv, expect, tmp_path, capsys):
