@@ -188,9 +188,6 @@ def rr_postprocess_population(
         raise ValueError(f"correlation model covers {corr.l} SNPs, data has {l}")
     inc = corr.increments(tau)
     idx = np.arange(l)
-    defined = ~np.isnan(corr.cond)
-    defined[idx, idx] = False  # exclude self-pairs from averages
-    cond_filled = np.where(defined, corr.cond, 0.0)
     threshold = gamma * l
 
     for _ in range(max_sweeps):
@@ -202,10 +199,14 @@ def rr_postprocess_population(
             if rows.size == 0:
                 continue
             reports = Y[rows]
+            # row i of the model, self-pair excluded from the averages
+            defined = ~np.isnan(corr.cond[i])
+            defined[i] = False
+            cond_filled = np.where(defined, corr.cond[i], 0.0)
             # a sequential sum over k, not a matmul: the order of the float
             # additions decides ties between states
-            sums = cond_filled[i][idx, :, reports].sum(axis=1)
-            support = defined[i][idx, :, reports].sum(axis=1)
+            sums = cond_filled[idx, :, reports].sum(axis=1)
+            support = defined[idx, :, reports].sum(axis=1)
             means = np.where(support > 0, sums / np.maximum(support, 1), -1.0)
             means[ruled_out[rows]] = -np.inf
             best = means.argmax(axis=1)  # a survivor, so never the ruled-out report

@@ -48,10 +48,6 @@ class AccuracyReport:
     no_total: int
     preserved: int
 
-    @property
-    def queries(self) -> int:
-        return self.yes_total + self.no_total
-
 
 def beacon_accuracy(
     original: GenotypeMatrix,

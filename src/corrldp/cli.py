@@ -52,7 +52,13 @@ from .kinship import (
     max_budget_second_child,
 )
 from .leakage import LeakageQuery, leakage_upper_bound
-from .mechanism import MechanismConfig, SharingMode, _validate_order, perturb_population
+from .mechanism import (
+    MechanismConfig,
+    SharingMode,
+    _sequential_share,
+    _validate_order,
+    perturb_population,
+)
 from .ordering import (
     expected_utility_of_order,
     greedy_share,
@@ -134,7 +140,7 @@ def _read_order(path, l: int) -> tuple[int, ...]:
     try:
         order = [int(token) for token in text.split()]
     except ValueError as exc:
-        raise ValueError(f"{path}: an order is space-separated SNP indices") from exc
+        raise GenotypeParseError(f"{path}: an order is space-separated SNP indices") from None
     try:
         return _validate_order(order, l)
     except ValueError as exc:
@@ -256,7 +262,7 @@ def _cmd_order(args) -> int:
         order = greedy_share(row, corr, config, args.seed)[0]
     else:
         policy, value = optimal_order_value_iteration(row, corr, config)
-        order = _policy_modal_order(policy, matrix.l)
+        order = _policy_modal_order(policy, corr, config)
     print(" ".join(str(i) for i in order))
     if value is None and matrix.l <= ordering.EXACT_METHOD_MAX_SNPS:
         value = expected_utility_of_order(row, order, corr, config)
@@ -265,15 +271,17 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _policy_modal_order(policy, l: int) -> tuple[int, ...]:
+def _policy_modal_order(policy, corr, config) -> tuple[int, ...]:
     """Static preview of an adaptive policy: the order it follows when every
-    report comes back 0.  The real policy reacts to actual reports, so this
-    is a deterministic illustration, not the policy itself."""
-    prefix: list[tuple[int, int]] = []
-    for _ in range(l):
-        i = policy.action(prefix)
-        prefix.append((i, 0))
-    return tuple(k for k, _ in prefix)
+    report comes back 0, replayed through the sharing loop.  The real policy
+    reacts to actual reports, so this is a deterministic illustration, not
+    the policy itself."""
+    zeros = np.zeros((1, corr.l), dtype=np.int8)
+    _, _, orders = _sequential_share(
+        corr.increments(config.tau_hat), config.gamma_hat, ordering._policy_chooser(policy),
+        reports=zeros,
+    )
+    return tuple(orders[0].tolist())
 
 
 def _cmd_kinship(args) -> int:

@@ -69,9 +69,6 @@ class GenotypeMatrix:
     def row(self, j: int) -> np.ndarray:
         return self.values[j]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.values[:, i]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GenotypeMatrix) and np.array_equal(self.values, other.values)
 
@@ -259,11 +256,6 @@ class CorrelationModel:
     @property
     def l(self) -> int:
         return self.cond.shape[0]
-
-    def value(self, i: int, k: int, a: int, b: int) -> float | None:
-        """Pr(SNP_i = a | SNP_k = b), or None when undefined."""
-        v = self.cond[i, k, a, b]
-        return None if np.isnan(v) else float(v)
 
     def increments(self, tau: float) -> np.ndarray:
         """Read-only boolean (l, 3, l, 3), built once per tau.

@@ -25,7 +25,7 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -128,9 +128,6 @@ class FamilyState:
 
     def shares_for_snp(self, snp: int) -> tuple[ShareRecord, ...]:
         return tuple(r for r in self.shares if r.snp == snp)
-
-    def with_share(self, record: ShareRecord) -> "FamilyState":
-        return replace(self, shares=self.shares + (record,))
 
     def to_json(self) -> str:
         def enc(x: float):

@@ -29,6 +29,7 @@ any two states that remain possible given the shared prefix.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,6 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .beacon import per_snp_expected_utility
 from .data import STATES, CorrelationModel, GenotypeMatrix, _as_genotype_array, child_seeds
 from .rr import PerturbParams, rr_params
 
@@ -97,19 +99,14 @@ def sharing_probs(
     elim = frozenset(eliminated)
     if not elim <= set(STATES):
         raise ValueError(f"eliminated states must be a subset of {{0, 1, 2}}, got {elim}")
+    if len(elim) in (0, 3):
+        rr = tuple(params.p if v == x else params.q for v in STATES)
+        return rr, Branch.RR if not elim else Branch.ALL_ELIMINATED_FALLBACK
     zero = params.p - params.p
     one = params.p / params.p if params.p != 0 else 1.0
     half = one / 2
     probs = [zero, zero, zero]
 
-    if len(elim) == 0:
-        for v in STATES:
-            probs[v] = params.p if v == x else params.q
-        return tuple(probs), Branch.RR
-    if len(elim) == 3:
-        for v in STATES:
-            probs[v] = params.p if v == x else params.q
-        return tuple(probs), Branch.ALL_ELIMINATED_FALLBACK
     if len(elim) == 2:
         (survivor,) = set(STATES) - elim
         probs[survivor] = one
@@ -135,21 +132,37 @@ def sharing_probs(
     return tuple(probs), Branch.PAIR_TRUTH_DROPPED
 
 
+@functools.lru_cache(maxsize=None)
+def branch_tables(config: MechanismConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The report distributions and their beacon utility, indexed by (true
+    value, eliminated bits); bit v of the second index says state v is
+    eliminated.
 
-
-def branch_tables(config: MechanismConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative report distributions indexed by (true value, eliminated bits).
-
-    Returns (cum, probs), each shaped (3, 8, 3); bit v of the second index
-    says state v is eliminated.
+    Returns read-only (cum, probs, util), built once per config: ``probs`` and
+    its cumulative sum ``cum`` are (3, 8, 3), and ``util`` (3, 8) is the chance
+    that a report drawn from ``probs[x, bits]`` keeps x's beacon class.
     """
     probs = np.zeros((3, 8, 3))
+    util = np.empty((3, 8))
     for x in STATES:
         for bits in range(8):
             elim = {v for v in STATES if bits >> v & 1}
             p, _ = sharing_probs(x, elim, config.params, config.mode)
             probs[x, bits] = [float(val) for val in p]
-    return np.cumsum(probs, axis=2), probs
+            util[x, bits] = per_snp_expected_utility(x, probs[x, bits])
+    tables = np.cumsum(probs, axis=2), probs, util
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _thresholds(gamma_hat: float, l: int) -> list[int]:
+    """need[a]: the counter that eliminates a state at 1-based position a.
+
+    An integer counter reaches gamma_hat * a iff it reaches the ceiling, and
+    never exceeds l - 1, so every threshold stops at l.
+    """
+    return [math.ceil(min(gamma_hat * a, l)) for a in range(l + 1)]
 
 
 def _elimination_bits(elim: np.ndarray) -> np.ndarray:
@@ -225,9 +238,10 @@ def _sequential_share(
 
     At step a (1-based) ``next_snp`` names SNP i, for all rows or per row,
     and state v of a row's SNP i is eliminated when its counter reaches
-    gamma_hat * a.  The report is then the inverse-CDF draw of
-    ``uniforms[:, a - 1]`` from ``cum[truth[:, i], bits]``, or, when
-    ``reports`` is given, the reported value replayed.  Sharing SNP k as b
+    gamma_hat * a, i.e. ``_thresholds(gamma_hat, l)[a]``.  The report is then
+    the inverse-CDF draw of ``uniforms[:, a - 1]`` from
+    ``cum[truth[:, i], bits]``, or, when ``reports`` is given, the reported
+    value replayed.  Sharing SNP k as b
     adds ``inc[k, b]``, the model's increment table at tau_hat, to the row's
     (l, 3) counters: one to state v of SNP i where ``inc[k, b, i, v]`` is set.
     Returns (values, eliminated, orders), orders being (n, l).
@@ -238,12 +252,13 @@ def _sequential_share(
     eliminated = np.empty((n, l, 3), dtype=bool)
     orders = np.empty((n, l), dtype=np.intp)
     rows = np.arange(n)
+    need = _thresholds(gamma_hat, l)
     for a in range(1, l + 1):
         i = next_snp(orders[:, : a - 1], counters, values)
         # one SNP for every row indexes its column as a basic slice (cheaper
         # than a gather); per-row SNPs index cell [j, i[j]] of each row
         at = (rows, i) if np.ndim(i) else (slice(None), i)
-        elim = counters[at] >= gamma_hat * a
+        elim = counters[at] >= need[a]
         if reports is None:
             c = cum[truth[at], _elimination_bits(elim)]
             y = (uniforms[:, a - 1, None] >= c[:, :2]).sum(axis=1).astype(np.int8)
@@ -270,7 +285,7 @@ def _share_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Share validated rows in the orders ``next_snp`` picks; row j draws one
     uniform per step from ``row_seeds[j]``'s own stream."""
-    cum, _ = branch_tables(config)
+    cum = branch_tables(config)[0]
     uniforms = np.empty(X.shape)
     for j, seed in enumerate(row_seeds):
         uniforms[j] = np.random.default_rng(seed).random(X.shape[1])

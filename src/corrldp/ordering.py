@@ -19,18 +19,17 @@ The exact solver collapses prefixes that no future elimination test can tell
 apart: same remaining set, and same counters after saturating each at the
 largest threshold any position can demand and zeroing each dead one (a counter
 too low to reach any threshold before its SNP is shared).  That keeps
-realistic instances small.
+realistic instances small.  The thresholds and the report/utility table are
+the mechanism's (``_thresholds``, ``branch_tables``).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .beacon import per_snp_expected_utility
 from .data import STATES, CorrelationModel, as_seed_sequence, child_seeds
 from .mechanism import (
     MechanismConfig,
@@ -39,6 +38,7 @@ from .mechanism import (
     _elimination_bits,
     _first_row,
     _share_rows,
+    _thresholds,
     _validate_order,
     branch_tables,
 )
@@ -57,20 +57,11 @@ def random_order(l: int, rng_seed) -> ProcessingOrder:
     return tuple(int(i) for i in rng.permutation(l))
 
 
-def _utility_table(probs: np.ndarray) -> np.ndarray:
-    """util[x, bits]: the chance that a report drawn from probs[x, bits]
-    (see branch_tables) keeps x's beacon class."""
-    util = np.empty((3, 8))
-    for x in STATES:
-        for bits in range(8):
-            util[x, bits] = per_snp_expected_utility(x, probs[x, bits])
-    return util
-
-
 # Counters pack into one int: slot 3*i + v (state v of SNP i) is a field of
 # _FIELD bits.  A field holds at most 15 (a counter never exceeds l - 1 <= 11),
-# and adding 16 - k to it sets its top bit exactly when it is >= k, so one
-# addition, shift and mask compares every counter with the same threshold.
+# and adding 16 - k to it, for a threshold k <= l <= 12, sets its top bit
+# exactly when it is >= k, so one addition, shift and mask compares every
+# counter with the same threshold.
 _FIELD = 5
 _TOP = _FIELD - 1
 _FIELD_MASK = (1 << _FIELD) - 1
@@ -109,8 +100,7 @@ class _ExactSolver:
                     "switch the ordering strategy to random or greedy for this size"
                 )
             raise ValueError(f"exact evaluation supports at most {EXACT_METHOD_MAX_SNPS} SNPs, got {l}")
-        _, probs = branch_tables(config)
-        util = _utility_table(probs)
+        _, probs, util = branch_tables(config)
         # branches[x][bits]: (expected utility, ((y, P(y)) for each possible y))
         self.branches = [
             [
@@ -123,14 +113,11 @@ class _ExactSolver:
             for x in STATES
         ]
         self.ones = sum(1 << (_FIELD * s) for s in range(3 * l))
-        # need[p]: the threshold at 1-based position p (an integer counter
-        # reaches gamma_hat * p iff it reaches the ceiling)
-        need = [0] + [math.ceil(config.gamma_hat * p) for p in range(1, l + 1)]
+        need = _thresholds(config.gamma_hat, l)
         # a counter at cap already clears every threshold, so it stops there
-        cap = min(max(1, need[l]), 1 << _TOP)
-        self.at_cap = ((1 << _TOP) - cap) * self.ones
+        self.at_cap = ((1 << _TOP) - need[l]) * self.ones
         # ge_threshold[p]: added to the counters, tops the fields that reach need[p]
-        self.ge_threshold = [((1 << _TOP) - min(t, 1 << _TOP)) * self.ones for t in need]
+        self.ge_threshold = [((1 << _TOP) - t) * self.ones for t in need]
         # A share bumps a field by at most one, so a field below
         # floor[p] = min over q >= p of need[q] - (q - p), at the next share's
         # position p, stays below every threshold until its SNP is shared: it
@@ -139,11 +126,11 @@ class _ExactSolver:
         # no nonzero field can be dead (floor[p] <= 1), and at p = l + 1,
         # where nothing is left.
         self.alive_at = [0] * (l + 2)
-        floor = math.inf
+        floor = need[l] + 1
         for p in range(l, 0, -1):
             floor = min(floor - 1, need[p])
             if floor > 1:
-                self.alive_at[p] = ((1 << _TOP) - min(floor, 1 << _TOP)) * self.ones
+                self.alive_at[p] = ((1 << _TOP) - floor) * self.ones
         self.keep = [~(_CHUNK << (3 * _FIELD * i)) for i in range(l)]
         # live[mask]: the low bit of every field of an unshared SNP
         self.live = [0] * (1 << l)
@@ -284,12 +271,13 @@ def _greedy_rows(
     Returns the kernel's (values, eliminated, orders)."""
     streams = [child_seeds(seed, 2) for seed in row_seeds]
     tie_streams = [np.random.default_rng(tie) for _, tie in streams]
-    util = _utility_table(branch_tables(config)[1])
+    util = branch_tables(config)[2]
+    need = _thresholds(config.gamma_hat, X.shape[1])
     unshared = np.ones(X.shape, dtype=bool)
     rows = np.arange(X.shape[0])
 
     def next_snp(taken, counters, values) -> np.ndarray:
-        elim = counters >= config.gamma_hat * (taken.shape[1] + 1)
+        elim = counters >= need[taken.shape[1] + 1]
         gain = np.where(unshared, util[X, _elimination_bits(elim)], -np.inf)
         ties = gain == gain.max(axis=1, keepdims=True)
         pick = ties.argmax(axis=1)

@@ -1,6 +1,7 @@
 """Correlation-based inference attack, estimation error, RR post-processing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,23 @@ def test_postprocess_population_tie_prefers_lower_state():
     Y = np.array([[0, 0], [1, 1], [2, 0], [0, 0]])
     out = rr_postprocess_population(Y, corr, 0.02, 0.5)
     assert out.tolist() == [[1, 0], [0, 1], [2, 0], [1, 0]]
+
+
+def test_postprocess_builds_no_dense_copy_of_the_model():
+    # the model itself is 72 * l**2 bytes of float64; post-processing reads one
+    # SNP's conditionals at a time, so its peak stays below one such copy
+    l = 400
+    m = generate_synthetic_population(SyntheticSpec(n=40, l=l, maf=0.25, rho=0.9), 3)
+    corr = compute_correlation_model(m)
+    Y = np.random.default_rng(3).integers(0, 3, size=(40, l))
+    tracemalloc.start()
+    try:
+        out = rr_postprocess_population(Y, corr, 0.12, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out != Y).any()  # the sweep rewrote cells, so it read the model
+    assert peak < 72 * l**2, peak
 
 
 def test_postprocess_empty_matrix_and_model_size():

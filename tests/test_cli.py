@@ -13,6 +13,7 @@ from corrldp.attack import AttackConfig, attack_population, population_estimatio
 from corrldp.cli import _read_belief_csv, main
 from corrldp.data import CorrelationModel, compute_correlation_model, load_genotype_matrix
 from corrldp.kinship import FamilyShape, FamilyState, ShareRecord, max_budget_general
+from corrldp.mechanism import MechanismConfig
 from support import reference_belief_csv, reference_read_belief_csv
 
 
@@ -176,10 +177,16 @@ def test_attack_order_flag_errors(tmp_path, capsys):
     known = ["--tau-hat", "0.2", "--gamma-hat", "0.5"]
     code, _, err = run_cli(base + known, capsys)
     assert code == 2 and "--order" in err
-    for name, text in (("word.txt", "0 1 x 3 4"), ("short.txt", "0 1 2"), ("twice.txt", "0 0 1 2 3")):
+    # a file that does not parse is an input error (1); a parsed order that
+    # is not a permutation of the data's SNPs is a usage error (2)
+    for name, text, expect in (
+        ("word.txt", "0 1 x 3 4", (1, "error")),
+        ("short.txt", "0 1 2", (2, "usage error")),
+        ("twice.txt", "0 0 1 2 3", (2, "usage error")),
+    ):
         (tmp_path / name).write_text(text)
         code, _, err = run_cli(base + known + ["--order", str(tmp_path / name)], capsys)
-        assert code == 2 and f"usage error: {tmp_path / name}: " in err, name
+        assert code == expect[0] and err.startswith(f"{expect[1]}: {tmp_path / name}: "), name
     (tmp_path / "good.txt").write_text("4 3 2 1 0\n")
     code, _, err = run_cli(base + ["--order", str(tmp_path / "good.txt")], capsys)
     assert code == 2 and "--tau-hat" in err
@@ -364,6 +371,32 @@ def test_order_prints_permutation_and_utility(tmp_path, capsys):
         ["order", "--data", str(data), "--row", "99", "--epsilon", "1.0"], capsys
     )
     assert code == 2 and "--row" in err
+
+
+def test_optimal_order_preview_steps_the_solver_once_per_position(tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path, capsys, l=9)
+    argv = ["order", "--data", str(data), "--row", "3", "--epsilon", "1.0", "--gamma-hat", "0.3",
+            "--order", "optimal"]
+    child = ordering._ExactSolver.child
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return child(self, *args)
+
+    monkeypatch.setattr(ordering._ExactSolver, "child", counted)
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0 and len(calls) <= 9
+    # the preview is the policy's action on the all-zero prefix, position by position
+    matrix = load_genotype_matrix(data)
+    policy, _ = ordering.optimal_order_value_iteration(
+        matrix.row(3), compute_correlation_model(matrix),
+        MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.3),
+    )
+    prefix = []
+    for _ in range(9):
+        prefix.append((policy.action(prefix), 0))
+    assert stdout.splitlines()[0] == " ".join(str(k) for k, _ in prefix)
 
 
 def test_order_prints_utility_up_to_the_exact_cap(tmp_path, capsys, monkeypatch):

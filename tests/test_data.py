@@ -31,7 +31,7 @@ def test_matrix_basic_properties():
     m = GenotypeMatrix(np.array([[0, 1], [2, 0]]))
     assert (m.n, m.l) == (2, 2)
     assert list(m.row(1)) == [2, 0]
-    assert list(m.column(1)) == [1, 0]
+    assert list(m.values[:, 1]) == [1, 0]
 
 
 def test_matrix_rejects_out_of_domain_values():
@@ -143,7 +143,7 @@ def test_synthetic_independent_frequencies():
     p2 = f * f
     se = math.sqrt(p2 * (1 - p2) / n)
     for i in range(2):
-        emp = np.mean(m.column(i) == 2)
+        emp = np.mean(m.values[:, i] == 2)
         assert abs(emp - p2) < 3 * se
 
 
@@ -151,7 +151,7 @@ def test_synthetic_strong_chain_agreement():
     rho = 0.999
     m = generate_synthetic_population(SyntheticSpec(n=5000, l=3, maf=0.3, rho=rho), 1)
     for t in (1, 2):
-        agree = np.mean(m.column(t) == m.column(t - 1))
+        agree = np.mean(m.values[:, t] == m.values[:, t - 1])
         assert agree >= rho - 0.01
 
 
@@ -160,13 +160,13 @@ def test_synthetic_per_column_maf_and_rho():
     # the blocks, and per-column maf drives each block's own frequencies.
     spec = SyntheticSpec(n=40_000, l=4, maf=(0.3, 0.3, 0.01, 0.01), rho=(0.0, 1.0, 0.0, 1.0))
     m = generate_synthetic_population(spec, 3)
-    assert np.array_equal(m.column(1), m.column(0))
-    assert np.array_equal(m.column(3), m.column(2))
+    assert np.array_equal(m.values[:, 1], m.values[:, 0])
+    assert np.array_equal(m.values[:, 3], m.values[:, 2])
     # block boundary: columns 1 and 2 are independent draws with different maf
-    assert abs(np.mean(m.column(0) == 0) - 0.49) < 0.02
-    assert abs(np.mean(m.column(2) == 0) - 0.9801) < 0.01
-    corr = np.mean((m.column(1) > 0) & (m.column(2) > 0))
-    assert abs(corr - np.mean(m.column(1) > 0) * np.mean(m.column(2) > 0)) < 0.02
+    assert abs(np.mean(m.values[:, 0] == 0) - 0.49) < 0.02
+    assert abs(np.mean(m.values[:, 2] == 0) - 0.9801) < 0.01
+    corr = np.mean((m.values[:, 1] > 0) & (m.values[:, 2] > 0))
+    assert abs(corr - np.mean(m.values[:, 1] > 0) * np.mean(m.values[:, 2] > 0)) < 0.02
 
 
 def test_synthetic_spec_validation():
@@ -189,10 +189,10 @@ def test_copy_column_conditionals_are_deterministic():
     values = np.array([[0, 0], [1, 1], [2, 2], [1, 1], [0, 0]])
     corr = compute_correlation_model(GenotypeMatrix(values))
     for v in range(3):
-        assert corr.value(1, 0, v, v) == 1.0
+        assert corr.cond[1, 0, v, v] == 1.0
         for u in range(3):
             if u != v:
-                assert corr.value(1, 0, u, v) == 0.0
+                assert corr.cond[1, 0, u, v] == 0.0
 
 
 def test_hand_counted_conditional():
@@ -200,18 +200,18 @@ def test_hand_counted_conditional():
     # Pr(first = 0 | second = 1) = 1/2
     values = np.array([[0, 0], [0, 1], [1, 1]])
     corr = compute_correlation_model(GenotypeMatrix(values))
-    assert corr.value(0, 1, 0, 1) == pytest.approx(0.5)
-    assert corr.value(0, 1, 1, 1) == pytest.approx(0.5)
-    assert corr.value(0, 1, 2, 1) == 0.0
+    assert corr.cond[0, 1, 0, 1] == pytest.approx(0.5)
+    assert corr.cond[0, 1, 1, 1] == pytest.approx(0.5)
+    assert corr.cond[0, 1, 2, 1] == 0.0
 
 
 def test_zero_support_conditioning_is_undefined():
     values = np.array([[0, 0], [0, 1]])  # column 0 is constant 0
     corr = compute_correlation_model(GenotypeMatrix(values))
     for a in range(3):
-        assert corr.value(1, 0, a, 1) is None
-        assert corr.value(1, 0, a, 2) is None
-    assert corr.value(1, 0, 0, 0) == pytest.approx(0.5)
+        assert np.isnan(corr.cond[1, 0, a, 1])
+        assert np.isnan(corr.cond[1, 0, a, 2])
+    assert corr.cond[1, 0, 0, 0] == pytest.approx(0.5)
 
 
 def test_pseudo_count_removes_undefined_and_smooths():
@@ -219,9 +219,9 @@ def test_pseudo_count_removes_undefined_and_smooths():
     corr = compute_correlation_model(GenotypeMatrix(values), pseudo_count=1.0)
     assert not np.isnan(corr.cond).any()
     # zero-support column: (0 + 1) / (0 + 3) = 1/3
-    assert corr.value(1, 0, 0, 1) == pytest.approx(1 / 3)
+    assert corr.cond[1, 0, 0, 1] == pytest.approx(1 / 3)
     # supported cell: one joint hit over one conditioning hit, (1+1)/(1+3)
-    assert corr.value(0, 1, 0, 0) == pytest.approx(0.5)
+    assert corr.cond[0, 1, 0, 0] == pytest.approx(0.5)
 
 
 def test_marginals_and_row_sums():
@@ -243,8 +243,8 @@ def test_independence_recovery():
                 continue
             for a in range(3):
                 for b in range(3):
-                    v = corr.value(i, k, a, b)
-                    if v is not None:
+                    v = corr.cond[i, k, a, b]
+                    if not np.isnan(v):
                         assert abs(v - corr.marginals[i, a]) < 0.02
 
 

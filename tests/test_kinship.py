@@ -254,7 +254,7 @@ def test_solver_unsupported_shapes():
         max_budget_general(fam, 0, "parent")
     with pytest.raises(ValueError, match="unknown member"):
         max_budget_general(fam, 0, "cousin")
-    shared = fam.with_share(ShareRecord("child", 0, 1, 0.4))
+    shared = FamilyState(fam.shape, fam.budgets, (ShareRecord("child", 0, 1, 0.4),))
     with pytest.raises(NotImplementedError, match="already shared"):
         max_budget_general(shared, 0, "child")
     both = _two_children_family(
@@ -326,8 +326,8 @@ def test_family_state_from_json_rejects_malformed_input():
         FamilyState.from_json('{"shape": "nonsense", "budgets": {}}')
 
 
-def test_with_share_appends():
+def test_family_state_built_with_a_share_keeps_it():
     fam = _one_child_family(1.0)
     rec = ShareRecord("child", 0, 2, 0.3)
-    assert fam.with_share(rec).shares == (rec,)
+    assert FamilyState(fam.shape, fam.budgets, fam.shares + (rec,)).shares == (rec,)
     assert fam.shares == ()

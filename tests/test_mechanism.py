@@ -18,6 +18,7 @@ from support import (
     uniform_corr,
 )
 
+from corrldp.beacon import per_snp_expected_utility
 from corrldp.data import GenotypeMatrix, SyntheticSpec, compute_correlation_model, generate_synthetic_population
 from corrldp.mechanism import (
     Branch,
@@ -294,14 +295,23 @@ def test_sequence_and_population_match_scalar_reference():
 
 
 def test_branch_tables_agree_with_sharing_probs():
-    cfg = MechanismConfig(epsilon=0.7, tau_hat=0.2, gamma_hat=0.5, mode=SharingMode.BEACON)
-    cum, probs = branch_tables(cfg)
-    for x in range(3):
-        for bits in range(8):
-            elim = {v for v in range(3) if bits >> v & 1}
-            expect, _ = sharing_probs(x, elim, cfg.params, cfg.mode)
-            assert probs[x, bits] == pytest.approx([float(v) for v in expect])
-            assert cum[x, bits, 2] == pytest.approx(1.0)
+    for mode in SharingMode:
+        cfg = MechanismConfig(epsilon=0.7, tau_hat=0.2, gamma_hat=0.5, mode=mode)
+        cum, probs, util = tables = branch_tables(cfg)
+        # built once per config, and read-only
+        assert all(again is table for again, table in zip(branch_tables(cfg), tables))
+        assert [t.shape for t in tables] == [(3, 8, 3), (3, 8, 3), (3, 8)]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.5
+        for x in range(3):
+            for bits in range(8):
+                elim = {v for v in range(3) if bits >> v & 1}
+                expect, _ = sharing_probs(x, elim, cfg.params, cfg.mode)
+                assert probs[x, bits] == pytest.approx([float(v) for v in expect])
+                assert cum[x, bits, 2] == pytest.approx(1.0)
+                assert util[x, bits] == per_snp_expected_utility(x, probs[x, bits])
 
 
 def test_sequence_validates_inputs():

@@ -120,9 +120,14 @@ def test_exact_solver_matches_reference_on_small_instances():
 def test_exact_solver_matches_reference_where_dead_counters_collapse():
     # at l = 5 and these gamma_hat, counters can fall below the position's
     # floor, so the solver merges states the raw-prefix references keep apart;
-    # six instances cover each gamma_hat in both modes
+    # six instances cover each gamma_hat in both modes, and two more take
+    # gamma_hat * p past every field's top bit (4 * 5 >= 16)
     orders = ((0, 1, 2, 3, 4), (4, 2, 0, 3, 1), (1, 3, 4, 0, 2))
-    for row, corr, cfg in _instances(6, l=5, seed0=250, gammas=(0.8, 1.0, 1.5)):
+    instances = itertools.chain(
+        _instances(6, l=5, seed0=250, gammas=(0.8, 1.0, 1.5)),
+        _instances(2, l=5, seed0=260, gammas=(4.0,) * 3),
+    )
+    for row, corr, cfg in instances:
         spec = MdpSpec(row=tuple(int(v) for v in row), corr=corr, config=cfg)
         policy, value = optimal_order_value_iteration(row, corr, cfg)
         assert value == pytest.approx(reference_optimal_value(spec), abs=1e-9)

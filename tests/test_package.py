@@ -59,3 +59,19 @@ def test_only_the_model_lays_out_the_increment_table():
         and ("low_mask(" in (text := p.read_text()) or "transpose(1, 3, 0, 2)" in text)
     ]
     assert offenders == []
+
+
+def test_only_the_mechanism_builds_thresholds_and_branch_tables():
+    # mechanism._thresholds and mechanism.branch_tables are the one step rule;
+    # no other module derives a threshold from gamma_hat or a report/utility
+    # table from the per-case distributions
+    offenders = []
+    for p in (ROOT / "src" / "corrldp").glob("*.py"):
+        if p.name == "mechanism.py":
+            continue
+        for line in p.read_text().splitlines():
+            if line.startswith("def per_snp_expected_utility(") and p.name == "beacon.py":
+                continue
+            if any(s in line for s in ("sharing_probs(", "per_snp_expected_utility(", "gamma_hat *")):
+                offenders.append(f"{p.name}: {line.strip()}")
+    assert offenders == []
