@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CorrelationModel, _as_genotype_array
-from .mechanism import _fixed_order, _sequential_share, _validate_order
+from .data import CorrelationModel, _as_genotype_array, _onehot
+from .mechanism import _count_operand, _sequential_share, _validate_order
 from .rr import rr_params
 
 
@@ -66,14 +66,11 @@ def _rr_profile(Y: np.ndarray, epsilon: float) -> np.ndarray:
     return np.where(Y[..., None] == np.arange(3), params.p, params.q)
 
 
-def _attack_counts(Y: np.ndarray, corr: CorrelationModel, tau: float) -> np.ndarray:
-    """counts[j, i, v] = #{k != i : Pr(SNP_i=v | SNP_k=Y[j,k]) defined, < tau}."""
-    n, l = Y.shape
-    M2 = corr.increments(tau).reshape(l * 3, l * 3).astype(np.float32)
-    onehot = np.zeros((n, l, 3), dtype=np.float32)
-    onehot[np.arange(n)[:, None], np.arange(l)[None, :], Y] = 1.0
-    counts = onehot.reshape(n, l * 3) @ M2
-    return np.rint(counts.reshape(n, l, 3)).astype(np.int32)
+def _attack_counts(Y: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """counts[j, i, v] = #{k != i : Pr(SNP_i=v | SNP_k=Y[j,k]) defined, < tau},
+    ``operand`` being ``_count_operand(corr.increments(tau))``."""
+    counts = _onehot(Y) @ operand
+    return np.rint(counts.reshape(Y.shape + (3,))).astype(np.int32)
 
 
 def rr_belief_population(Y, epsilon: float) -> AttackerBelief:
@@ -106,7 +103,7 @@ def attack_population(
     l = Y.shape[1]
     if corr.l != l:
         raise ValueError(f"correlation model covers {corr.l} SNPs, data has {l}")
-    counts = _attack_counts(Y, corr, config.tau)
+    counts = _attack_counts(Y, _count_operand(corr.increments(config.tau)))
     eliminated = counts >= config.gamma * l
     if config.mechanism_params_known is not None:
         tau_hat, gamma_hat = config.mechanism_params_known
@@ -145,7 +142,7 @@ def recover_possible_inputs(
     if not math.isfinite(gamma_hat) or gamma_hat <= 0:
         raise ValueError(f"gamma_hat must be finite and > 0, got {gamma_hat}")
     _, eliminated, _ = _sequential_share(
-        corr.increments(tau_hat), gamma_hat, _fixed_order(order), reports=Y2
+        corr.increments(tau_hat), gamma_hat, order, reports=Y2
     )
     return np.logical_not(eliminated, out=eliminated).reshape(Y.shape + (3,))
 
@@ -187,12 +184,13 @@ def rr_postprocess_population(
     if corr.l != l:
         raise ValueError(f"correlation model covers {corr.l} SNPs, data has {l}")
     inc = corr.increments(tau)
+    operand = _count_operand(inc)
     idx = np.arange(l)
     threshold = gamma * l
 
     for _ in range(max_sweeps):
         changed = False
-        counts = _attack_counts(Y, corr, tau)  # (n, l, 3)
+        counts = _attack_counts(Y, operand)  # (n, l, 3)
         for i in range(l):
             ruled_out = counts[:, i] >= threshold  # (n, 3)
             rows = np.flatnonzero(ruled_out[np.arange(n), Y[:, i]] & ~ruled_out.all(axis=1))

@@ -242,12 +242,17 @@ class CorrelationModel:
             raise GenotypeError(
                 f"marginals must be ({cond.shape[0]}, 3), got {marg.shape}"
             )
-        defined = ~np.isnan(cond)
-        if np.any((cond[defined] < -1e-12) | (cond[defined] > 1.0 + 1e-12)):
+        # an undefined (NaN) conditional fails neither comparison
+        if np.any((cond < -1e-12) | (cond > 1.0 + 1e-12)):
             raise GenotypeError("conditional probabilities must lie in [0, 1]")
         # Defined conditionals for a fixed (i, k, b) must sum to 1.
-        colsums = np.nansum(cond, axis=2)
-        anydef = defined.any(axis=2)
+        # three passes over state a: a reduction over that short axis is
+        # several times slower, and np.nansum copies the table
+        defined = ~np.isnan(cond)
+        colsums = np.zeros(cond.shape[:2] + (3,))
+        for a in STATES:
+            np.add(colsums, cond[:, :, a], out=colsums, where=defined[:, :, a])
+        anydef = defined[:, :, 0] | defined[:, :, 1] | defined[:, :, 2]
         if np.any(np.abs(colsums[anydef] - 1.0) > 1e-9):
             raise GenotypeError("defined conditionals Pr(. | SNP_k = b) must sum to 1")
         self.cond = cond
@@ -335,6 +340,15 @@ def _json_nested_list(texts: np.ndarray) -> str:
     return "[" * texts.ndim + "".join(pieces.ravel().tolist())
 
 
+def _onehot(Y: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """(n, 3l) indicators of an (n, l) genotype matrix: column 3i + v is 1
+    where Y[:, i] == v."""
+    n, l = Y.shape
+    onehot = np.zeros((n, l, 3), dtype=dtype)
+    onehot[np.arange(n)[:, None], np.arange(l)[None, :], Y] = 1.0
+    return onehot.reshape(n, 3 * l)
+
+
 def compute_correlation_model(
     matrix: GenotypeMatrix, pseudo_count: float = 0.0
 ) -> CorrelationModel:
@@ -348,15 +362,17 @@ def compute_correlation_model(
         raise GenotypeError(f"pseudo_count must be >= 0, got {pseudo_count}")
     X = matrix.values
     n, l = X.shape
-    onehot = np.zeros((n, l, 3), dtype=np.float64)
-    onehot[np.arange(n)[:, None], np.arange(l)[None, :], X] = 1.0
-    flat = onehot.reshape(n, l * 3)
-    joint = (flat.T @ flat).reshape(l, 3, l, 3).transpose(0, 2, 1, 3)  # [i, k, a, b]
-    base = joint.sum(axis=2, keepdims=True)  # #{x_k = b}, same for every i
-    num = joint + pseudo_count
-    den = base + 3.0 * pseudo_count
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
-    counts = onehot.sum(axis=0)  # [l, 3]
+    # float32 counts pair by pair are exact below 2^24 rows
+    onehot = _onehot(X, np.float32 if n < 1 << 24 else np.float64)
+    counts = onehot.sum(axis=0, dtype=np.float64).reshape(l, 3)  # #{x_k = b}
+    gram = onehot.T @ onehot
+    del onehot
+    cond = np.empty((l, l, 3, 3))  # [i, k, a, b]
+    np.add(gram.reshape(l, 3, l, 3).transpose(0, 2, 1, 3), np.float64(pseudo_count), out=cond)
+    del gram
+    den = counts + 3.0 * pseudo_count  # [k, b]
+    cond /= np.where(den > 0, den, 1.0)[None, :, None, :]
+    empty_k, empty_b = np.nonzero(den == 0)
+    cond[:, empty_k, :, empty_b] = np.nan
     marginals = (counts + pseudo_count) / (n + 3.0 * pseudo_count)
     return CorrelationModel(cond=cond, marginals=marginals)

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .beacon import per_snp_expected_utility
-from .data import STATES, CorrelationModel, GenotypeMatrix, _as_genotype_array, child_seeds
+from .data import STATES, CorrelationModel, GenotypeMatrix, _as_genotype_array, _onehot, child_seeds
 from .rr import PerturbParams, rr_params
 
 
@@ -218,16 +218,23 @@ def _validate_order(order, l: int, rows: int | None = None):
     return tuple(orders.tolist()) if orders.ndim == 1 else orders
 
 
-def _fixed_order(order) -> _NextSnp:
-    """Share in a validated order: one for every row, or (n, l), one per row."""
-    steps = np.asarray(order).T
-    return lambda taken, counters, values: steps[taken.shape[1]]
+# Steps per block when one order is shared by every row (see _sequential_share).
+B = 32
+
+
+def _count_operand(table: np.ndarray) -> np.ndarray:
+    """A (k, 3, i, 3) slice of an increment table as the float32 (3k, 3i)
+    matrix that a product with one-hot reports turns into counters: row
+    3k + b, column 3i + v.  Counts stay below l < 2^24, so the product is
+    exact."""
+    k, _, i, _ = table.shape
+    return table.reshape(3 * k, 3 * i).astype(np.float32)
 
 
 def _sequential_share(
     inc: np.ndarray,
     gamma_hat: float,
-    next_snp: _NextSnp,
+    order,
     *,
     reports: np.ndarray | None = None,
     truth: np.ndarray | None = None,
@@ -236,38 +243,64 @@ def _sequential_share(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mechanism's sequential rule over an (n, l) block of rows.
 
-    At step a (1-based) ``next_snp`` names SNP i, for all rows or per row,
-    and state v of a row's SNP i is eliminated when its counter reaches
-    gamma_hat * a, i.e. ``_thresholds(gamma_hat, l)[a]``.  The report is then
-    the inverse-CDF draw of ``uniforms[:, a - 1]`` from
+    ``order`` is a validated order, (l,) for every row or (n, l) one per row,
+    or a chooser (``_NextSnp``).  At step a (1-based) SNP i is next, for all
+    rows or per row, and state v of a row's SNP i is eliminated when its
+    counter reaches gamma_hat * a, i.e. ``_thresholds(gamma_hat, l)[a]``.  The
+    report is then the inverse-CDF draw of ``uniforms[:, a - 1]`` from
     ``cum[truth[:, i], bits]``, or, when ``reports`` is given, the reported
-    value replayed.  Sharing SNP k as b
-    adds ``inc[k, b]``, the model's increment table at tau_hat, to the row's
-    (l, 3) counters: one to state v of SNP i where ``inc[k, b, i, v]`` is set.
+    value replayed.  Sharing SNP k as b adds ``inc[k, b]``, the model's
+    increment table at tau_hat, to the row's (l, 3) counters: one to state v
+    of SNP i where ``inc[k, b, i, v]`` is set.
     Returns (values, eliminated, orders), orders being (n, l).
+
+    One order for every row is taken in blocks of B steps, on a copy of the
+    table with both SNP axes in processing order.  Within a block only the
+    block's own counters are bumped, by rows of its (B, 3, B, 3) sub-table;
+    after it, one float32 product of its one-hot reports with its rows of
+    the table adds its shares to the counters of every SNP still to come.  A chooser or per-row orders
+    need every counter at every step: the share is then one block, the table
+    as stored, and each step adds the full row ``inc[i, y]``.
     """
     n, l = (truth if reports is None else reports).shape
-    counters = np.zeros((n, l, 3), dtype=np.int16)
     values = np.empty((n, l), dtype=np.int8) if reports is None else reports
     eliminated = np.empty((n, l, 3), dtype=bool)
     orders = np.empty((n, l), dtype=np.intp)
     rows = np.arange(n)
     need = _thresholds(gamma_hat, l)
-    for a in range(1, l + 1):
-        i = next_snp(orders[:, : a - 1], counters, values)
-        # one SNP for every row indexes its column as a basic slice (cheaper
-        # than a gather); per-row SNPs index cell [j, i[j]] of each row
-        at = (rows, i) if np.ndim(i) else (slice(None), i)
-        elim = counters[at] >= need[a]
-        if reports is None:
-            c = cum[truth[at], _elimination_bits(elim)]
-            y = (uniforms[:, a - 1, None] >= c[:, :2]).sum(axis=1).astype(np.int8)
-            values[at] = y
-        else:
-            y = reports[at]
-        eliminated[at] = elim
-        counters += inc[i, y]
-        orders[:, a - 1] = i
+    if callable(order):
+        next_snp, shared = order, False
+    else:
+        steps = np.asarray(order).T
+        next_snp, shared = (lambda taken, *_: steps[taken.shape[1]]), steps.ndim == 1
+    table = inc[steps].take(steps, axis=2) if shared else inc
+    size = B if shared else l
+    # counters in the table's SNP order; a block's own are exact int16 copies
+    counters = np.zeros((n, l, 3), dtype=np.int16 if size >= l else np.float32)
+    for s in range(0, l, size):
+        e = min(s + size, l)
+        own = counters[:, s:e].astype(np.int16, copy=False)
+        sub = np.ascontiguousarray(table[s:e, :, s:e])
+        for a in range(s + 1, e + 1):
+            i = next_snp(orders[:, : a - 1], counters, values)
+            # one SNP for every row indexes its column as a basic slice (cheaper
+            # than a gather); per-row SNPs index cell [j, i[j]] of each row
+            at = (rows, i) if np.ndim(i) else (slice(None), i)
+            # the SNP's slot among the block's own counters
+            here = (slice(None), a - 1 - s) if shared else at
+            elim = own[here] >= need[a]
+            if reports is None:
+                c = cum[truth[at], _elimination_bits(elim)]
+                y = (uniforms[:, a - 1, None] >= c[:, :2]).sum(axis=1).astype(np.int8)
+                values[at] = y
+            else:
+                y = reports[at]
+            eliminated[at] = elim
+            own += sub[here[1], y]
+            orders[:, a - 1] = i
+        if e < l:
+            later = _onehot(values[:, steps[s:e]]) @ _count_operand(table[s:e, :, e:])
+            counters[:, e:] += later.reshape(n, l - e, 3)
     return values, eliminated, orders
 
 
@@ -281,16 +314,17 @@ def _as_row(row, corr: CorrelationModel) -> np.ndarray:
 
 
 def _share_rows(
-    X: np.ndarray, next_snp: _NextSnp, corr: CorrelationModel, config: MechanismConfig, row_seeds
+    X: np.ndarray, order, corr: CorrelationModel, config: MechanismConfig, row_seeds
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Share validated rows in the orders ``next_snp`` picks; row j draws one
-    uniform per step from ``row_seeds[j]``'s own stream."""
+    """Share validated rows in ``order``, an order or a chooser as
+    ``_sequential_share`` takes it; row j draws one uniform per step from
+    ``row_seeds[j]``'s own stream."""
     cum = branch_tables(config)[0]
     uniforms = np.empty(X.shape)
     for j, seed in enumerate(row_seeds):
         uniforms[j] = np.random.default_rng(seed).random(X.shape[1])
     return _sequential_share(
-        corr.increments(config.tau_hat), config.gamma_hat, next_snp,
+        corr.increments(config.tau_hat), config.gamma_hat, order,
         truth=X, uniforms=uniforms, cum=cum,
     )
 
@@ -316,7 +350,7 @@ def perturb_sequence(
     """
     row = _as_row(row, corr)
     order = _validate_order(order, row.size)
-    return _first_row(_share_rows(row[None, :], _fixed_order(order), corr, config, [rng_seed]))
+    return _first_row(_share_rows(row[None, :], order, corr, config, [rng_seed]))
 
 
 def perturb_population(
@@ -335,6 +369,6 @@ def perturb_population(
         raise ValueError(f"correlation model covers {corr.l} SNPs, matrix has {l}")
     order = _validate_order(order, l)
     values, eliminated, _ = _share_rows(
-        X, _fixed_order(order), corr, config, child_seeds(rng_seed, n)
+        X, order, corr, config, child_seeds(rng_seed, n)
     )
     return PopulationShare(values=values, eliminated=eliminated, order=order)

@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: handcrafted correlation models,
-exact-arithmetic randomized-response parameters, scalar references for
-the sequential mechanism that the vectorized code is checked against, the
-per-family-shape parent posteriors, and value-by-value writers and readers
-for the file formats."""
+exact-arithmetic randomized-response parameters, the model fit's formula on
+float64 counts, scalar references for the sequential mechanism that the
+vectorized code is checked against, the per-family-shape parent posteriors,
+and value-by-value writers and readers for the file formats."""
 
 from __future__ import annotations
 
@@ -72,6 +72,25 @@ def reference_optimal_value(spec) -> float:
         return val
 
     return best(spec.initial_state())
+
+
+# ---------------------------------------------------------- model fit reference
+
+
+def reference_fit(values: np.ndarray, pseudo_count: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(cond, marginals) by the fit's formula on float64 counts, each cell
+    divided where its denominator is positive and NaN elsewhere."""
+    n, l = values.shape
+    onehot = np.zeros((n, l, 3))
+    onehot[np.arange(n)[:, None], np.arange(l)[None, :], values] = 1.0
+    flat = onehot.reshape(n, l * 3)
+    joint = (flat.T @ flat).reshape(l, 3, l, 3).transpose(0, 2, 1, 3)  # [i, k, a, b]
+    num = joint + pseudo_count
+    den = joint.sum(axis=2, keepdims=True) + 3.0 * pseudo_count
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
+    marginals = (onehot.sum(axis=0) + pseudo_count) / (n + 3.0 * pseudo_count)
+    return cond, marginals
 
 
 # ------------------------------------------- scalar mechanism references

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from corrldp.data import (
     load_genotype_matrix,
     save_genotype_matrix,
 )
-from support import reference_model_json, reference_save_genotypes
+from support import reference_fit, reference_model_json, reference_save_genotypes
 
 
 # ---------------------------------------------------------------- matrices
@@ -385,3 +386,49 @@ def test_correlation_model_invariants_hold_for_random_data(n, l, pc, seed):
     defined = ~np.isnan(corr.cond)
     assert np.all(corr.cond[defined] >= 0.0) and np.all(corr.cond[defined] <= 1.0)
     assert np.allclose(corr.marginals.sum(axis=1), 1.0, atol=1e-9)
+
+
+# ----------------------------------------------------------------- lean fit
+
+
+def _missing_state_two(n=30, l=12, seed=0):
+    # columns 0-2 never hold state 2 and column 3 never holds state 0, so
+    # every conditional given those states is undefined at pseudo-count 0
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 3, size=(n, l))
+    values[:, :3] = rng.integers(0, 2, size=(n, 3))
+    values[:, 3] = rng.integers(1, 3, size=n)
+    return values
+
+
+@pytest.mark.parametrize("pseudo_count", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "values",
+    [_missing_state_two(), _missing_state_two(n=7, l=40, seed=1), np.array([[0], [2], [2]])],
+    ids=["missing-states", "wide", "one-snp"],
+)
+def test_fit_is_bit_identical_to_the_float64_formula(values, pseudo_count):
+    corr = compute_correlation_model(GenotypeMatrix(values), pseudo_count)
+    cond, marginals = reference_fit(values, pseudo_count)
+    assert corr.cond.dtype == cond.dtype and corr.cond.tobytes() == cond.tobytes()
+    assert corr.marginals.dtype == marginals.dtype and corr.marginals.tobytes() == marginals.tobytes()
+    # the undefined cells are exactly the conditionals given an unseen state
+    unseen = np.stack([(values == b).sum(axis=0) == 0 for b in range(3)], axis=1)  # [k, b]
+    assert np.array_equal(np.isnan(corr.cond), np.broadcast_to(
+        (unseen & (pseudo_count == 0))[None, :, None, :], corr.cond.shape
+    ))
+
+
+def test_fit_peak_memory_stays_below_three_models():
+    # the model is 72 * l**2 bytes of float64; the fit holds one float32 Gram
+    # product beside it and frees that before the model checks itself
+    l = 400
+    m = generate_synthetic_population(SyntheticSpec(n=200, l=l, maf=0.2, rho=0.8), 1)
+    tracemalloc.start()
+    try:
+        corr = compute_correlation_model(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corr.l == l
+    assert peak < 3 * 72 * l**2, peak

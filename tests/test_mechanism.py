@@ -13,13 +13,22 @@ from support import (
     custom_corr,
     eliminate_states,
     exact_params,
+    reference_greedy,
     reference_share,
     sharing_distribution,
     uniform_corr,
 )
 
+from corrldp import mechanism
+from corrldp.attack import recover_possible_inputs
 from corrldp.beacon import per_snp_expected_utility
-from corrldp.data import GenotypeMatrix, SyntheticSpec, compute_correlation_model, generate_synthetic_population
+from corrldp.data import (
+    GenotypeMatrix,
+    SyntheticSpec,
+    child_seeds,
+    compute_correlation_model,
+    generate_synthetic_population,
+)
 from corrldp.mechanism import (
     Branch,
     MechanismConfig,
@@ -30,6 +39,7 @@ from corrldp.mechanism import (
     perturb_sequence,
     sharing_probs,
 )
+from corrldp.ordering import greedy_share
 from corrldp.rr import rr_params
 
 LN2 = math.log(2)
@@ -363,3 +373,70 @@ def test_order_errors_name_the_problem_briefly():
         _validate_order(np.tile(np.arange(6), (4, 1)), 6, rows=5)
     with pytest.raises(ValueError, match=r"\(4, 6\)"):
         _validate_order(np.tile(np.arange(6), (4, 1)), 6)
+
+
+# ------------------------------------------------------------ blocked kernel
+
+
+def _block_case(l, seed, n=4):
+    m = generate_synthetic_population(SyntheticSpec(n=n, l=l, maf=0.3, rho=0.85), seed)
+    order = tuple(np.random.default_rng(seed).permutation(l).tolist())
+    return m, compute_correlation_model(m), order
+
+
+@pytest.mark.parametrize("l", [1, mechanism.B - 1, mechanism.B, mechanism.B + 1, 2 * mechanism.B + 1])
+def test_blocked_share_and_replay_match_the_scalar_reference(l):
+    m, corr, order = _block_case(l, 800 + l)
+    per_row = np.tile(order, (m.n, 1))
+    for gamma_hat, mode in itertools.product((0.05, 0.5, 1.5), SharingMode):
+        cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=gamma_hat, mode=mode)
+        share = perturb_population(m, order, corr, cfg, 31)
+        children = child_seeds(31, m.n)
+        for j in range(m.n):
+            values, eliminated = reference_share(m.row(j), order, corr, cfg, children[j])
+            seq = perturb_sequence(m.row(j), order, corr, cfg, children[j])
+            assert np.array_equal(seq.values, values) and np.array_equal(seq.eliminated, eliminated)
+            assert np.array_equal(share.values[j], values), f"{cfg} row {j}"
+            assert np.array_equal(share.eliminated[j], eliminated), f"{cfg} row {j}"
+        # one order for every row replays in blocks; per-row orders, one step at a time
+        possible = recover_possible_inputs(share.values, corr, 0.2, gamma_hat, order)
+        assert np.array_equal(possible, ~share.eliminated)
+        assert np.array_equal(recover_possible_inputs(share.values, corr, 0.2, gamma_hat, per_row), possible)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, "l"])
+def test_block_size_changes_no_byte(monkeypatch, block):
+    m, corr, order = _block_case(45, 3, n=6)
+    seeds = child_seeds(5, m.n)
+
+    def run():
+        out = []
+        for gamma_hat in (0.05, 0.5):
+            cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=gamma_hat)
+            values, eliminated, orders = mechanism._share_rows(m.values, order, corr, cfg, seeds)
+            _, replayed, replay_orders = mechanism._sequential_share(
+                corr.increments(0.2), gamma_hat, order, reports=values
+            )
+            out += [values, eliminated, orders, replayed, replay_orders]
+        return out
+
+    default = run()
+    monkeypatch.setattr(mechanism, "B", m.l if block == "l" else block)
+    for got, want in zip(run(), default):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_per_row_orders_and_greedy_match_their_reference_past_one_block():
+    l = mechanism.B + 8
+    m, corr, _ = _block_case(l, 21, n=3)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.3)
+    orders = np.stack([np.random.default_rng(j).permutation(l) for j in range(m.n)])
+    seeds = child_seeds(8, m.n)
+    values, eliminated, taken = mechanism._share_rows(m.values, orders, corr, cfg, seeds)
+    assert np.array_equal(taken, orders)
+    for j in range(m.n):
+        ref_values, ref_eliminated = reference_share(m.row(j), orders[j], corr, cfg, seeds[j])
+        assert np.array_equal(values[j], ref_values) and np.array_equal(eliminated[j], ref_eliminated)
+        order, seq = greedy_share(m.row(j), corr, cfg, seeds[j])
+        ref_order, ref_greedy = reference_greedy(m.row(j), corr, cfg, seeds[j])
+        assert order == ref_order and np.array_equal(seq.values, ref_greedy), f"row {j}"

@@ -75,3 +75,28 @@ def test_only_the_mechanism_builds_thresholds_and_branch_tables():
             if any(s in line for s in ("sharing_probs(", "per_snp_expected_utility(", "gamma_hat *")):
                 offenders.append(f"{p.name}: {line.strip()}")
     assert offenders == []
+
+
+def _float32_conversions(path: Path) -> list[str]:
+    """Functions of a module that call ``.astype`` with a float32 argument."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "astype"
+                and any("float32" in ast.unparse(arg) for arg in node.args + [k.value for k in node.keywords])
+            ):
+                found.append(f"{path.name}: {func.name}")
+                break
+    return found
+
+
+def test_one_function_converts_the_increment_table_to_float32():
+    # mechanism._count_operand builds the float32 (3l, 3l) operand that the
+    # blocked kernel (permuted) and the attack (as stored) multiply by
+    found = [f for p in sorted((ROOT / "src" / "corrldp").glob("*.py")) for f in _float32_conversions(p)]
+    assert found == ["mechanism.py: _count_operand"]
