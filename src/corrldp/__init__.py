@@ -76,10 +76,8 @@ from .mechanism import (
     sharing_probs,
 )
 from .ordering import (
-    BRUTE_FORCE_MAX_SNPS,
     EXACT_METHOD_MAX_SNPS,
     OrderPolicy,
-    brute_force_order,
     expected_utility_of_order,
     greedy_share,
     optimal_order_value_iteration,
@@ -108,9 +106,8 @@ __all__ = [
     "Branch", "MechanismConfig", "PerturbedSequence", "PopulationShare",
     "SharingMode", "branch_tables", "perturb_population", "perturb_sequence",
     "sharing_probs",
-    "BRUTE_FORCE_MAX_SNPS", "EXACT_METHOD_MAX_SNPS", "OrderPolicy",
-    "brute_force_order", "expected_utility_of_order", "greedy_share",
-    "optimal_order_value_iteration", "random_order",
+    "EXACT_METHOD_MAX_SNPS", "OrderPolicy", "expected_utility_of_order",
+    "greedy_share", "optimal_order_value_iteration", "random_order",
     "FrequencyEstimate", "PerturbParams", "rr_estimate_frequencies", "rr_params",
     "rr_perturb",
 ]

@@ -184,13 +184,13 @@ def rr_postprocess_population(
     if corr.l != l:
         raise ValueError(f"correlation model covers {corr.l} SNPs, data has {l}")
     inc = corr.increments(tau)
-    operand = _count_operand(inc)
     idx = np.arange(l)
     threshold = gamma * l
+    # counted once: each rewrite below moves its row's counts with it
+    counts = _attack_counts(Y, _count_operand(inc))  # (n, l, 3)
 
     for _ in range(max_sweeps):
         changed = False
-        counts = _attack_counts(Y, operand)  # (n, l, 3)
         for i in range(l):
             ruled_out = counts[:, i] >= threshold  # (n, 3)
             rows = np.flatnonzero(ruled_out[np.arange(n), Y[:, i]] & ~ruled_out.all(axis=1))

@@ -78,8 +78,18 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     return values
 
 
-def _mode(text: str) -> SharingMode:
-    return SharingMode(text)
+def _synthetic_spec(args) -> SyntheticSpec:
+    """The --n, --l, --maf and --rho population; one --maf value is shared by
+    every SNP."""
+    maf = _parse_float_list(args.maf, "--maf")
+    return SyntheticSpec(n=args.n, l=args.l, maf=maf[0] if len(maf) == 1 else maf, rho=args.rho)
+
+
+def _mechanism_config(args) -> MechanismConfig:
+    return MechanismConfig(
+        epsilon=args.epsilon, tau_hat=args.tau_hat, gamma_hat=args.gamma_hat,
+        mode=SharingMode(args.mode),
+    )
 
 
 def _load_corr(args, matrix: GenotypeMatrix) -> CorrelationModel:
@@ -94,9 +104,7 @@ def _load_corr(args, matrix: GenotypeMatrix) -> CorrelationModel:
 
 
 def _cmd_gen(args) -> int:
-    maf = _parse_float_list(args.maf, "--maf")
-    spec = SyntheticSpec(n=args.n, l=args.l, maf=maf[0] if len(maf) == 1 else maf, rho=args.rho)
-    matrix = generate_synthetic_population(spec, args.seed)
+    matrix = generate_synthetic_population(_synthetic_spec(args), args.seed)
     save_genotype_matrix(matrix, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -119,10 +127,7 @@ def _cmd_perturb(args) -> int:
         out = rr_perturb(matrix, args.epsilon, seed)
     else:
         corr = _load_corr(args, matrix)
-        config = MechanismConfig(
-            epsilon=args.epsilon, tau_hat=args.tau_hat, gamma_hat=args.gamma_hat,
-            mode=_mode(args.mode),
-        )
+        config = _mechanism_config(args)
         order_seed, noise_seed = child_seeds(seed, 2)
         order = random_order(matrix.l, order_seed)
         out = GenotypeMatrix(perturb_population(matrix, order, corr, config, noise_seed).values)
@@ -251,10 +256,7 @@ def _cmd_order(args) -> int:
         raise ValueError(f"--row must be in [0, {matrix.n}), got {args.row}")
     row = matrix.row(args.row)
     corr = _load_corr(args, matrix)
-    config = MechanismConfig(
-        epsilon=args.epsilon, tau_hat=args.tau_hat, gamma_hat=args.gamma_hat,
-        mode=_mode(args.mode),
-    )
+    config = _mechanism_config(args)
     value = None
     if args.order == "random":
         order = random_order(matrix.l, args.seed)
@@ -310,12 +312,7 @@ def _cmd_leakage(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    synthetic = None
-    if args.data is None:
-        maf = _parse_float_list(args.maf, "--maf")
-        synthetic = SyntheticSpec(
-            n=args.n, l=args.l, maf=maf[0] if len(maf) == 1 else maf, rho=args.rho
-        )
+    synthetic = _synthetic_spec(args) if args.data is None else None
     config = ExperimentConfig(
         epsilon_grid=_parse_float_list(args.epsilon_grid, "--epsilon-grid"),
         trials=args.trials,
@@ -324,7 +321,7 @@ def _cmd_experiment(args) -> int:
         dataset_path=args.data,
         tau_hat=args.tau_hat,
         gamma_hat=args.gamma_hat,
-        mode=_mode(args.mode),
+        mode=SharingMode(args.mode),
         tau=args.tau,
         gamma=args.gamma,
         attacker_knows_mechanism=args.attacker_knows_mechanism,

@@ -13,19 +13,20 @@ horizon is finite, so no iterate-to-convergence loop is needed); the greedy
 policy takes the best immediate expected utility and samples as it goes;
 ``random_order`` is the baseline.
 
-Everything here is exponential in the worst case, so the exact solver caps
-at EXACT_METHOD_MAX_SNPS and full order enumeration at BRUTE_FORCE_MAX_SNPS.
-The exact solver collapses prefixes that no future elimination test can tell
-apart: same remaining set, and same counters after saturating each at the
-largest threshold any position can demand and zeroing each dead one (a counter
-too low to reach any threshold before its SNP is shared).  That keeps
-realistic instances small.  The thresholds and the report/utility table are
-the mechanism's (``_thresholds``, ``branch_tables``).
+The exact solver is exponential in the worst case, so it caps at
+EXACT_METHOD_MAX_SNPS.  It collapses prefixes that no future elimination test
+can tell apart: same remaining set, and same counters after saturating each at
+the largest threshold any position can demand and zeroing each dead one (a
+counter too low to reach any threshold before its SNP is shared).  That keeps
+realistic instances small.  The memo key is a function of what was shared
+alone: ``_ExactSolver.key`` builds it from the shared SNPs and the row's raw
+counters, so a policy's action is looked up from the counters the sharing loop
+keeps.  The thresholds and the report/utility table are the mechanism's
+(``_thresholds``, ``branch_tables``).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +47,6 @@ from .mechanism import (
 ProcessingOrder = tuple[int, ...]
 
 EXACT_METHOD_MAX_SNPS = 12
-BRUTE_FORCE_MAX_SNPS = 6
 
 
 def random_order(l: int, rng_seed) -> ProcessingOrder:
@@ -125,10 +125,11 @@ class _ExactSolver:
         # added to the counters, tops the fields at or above floor[p]; 0 where
         # no nonzero field can be dead (floor[p] <= 1), and at p = l + 1,
         # where nothing is left.
+        self.cap = need[l]
+        self.floor = [0] * (l + 1) + [need[l] + 1]
         self.alive_at = [0] * (l + 2)
-        floor = need[l] + 1
         for p in range(l, 0, -1):
-            floor = min(floor - 1, need[p])
+            self.floor[p] = floor = min(self.floor[p + 1] - 1, need[p])
             if floor > 1:
                 self.alive_at[p] = ((1 << _TOP) - floor) * self.ones
         self.keep = [~(_CHUNK << (3 * _FIELD * i)) for i in range(l)]
@@ -139,25 +140,27 @@ class _ExactSolver:
             shift = 3 * _FIELD * (low.bit_length() - 1)
             self.live[mask] = self.live[mask ^ low] | _CHUNK_LOWS << shift
         # delta[k][y]: sharing (k, y) bumps slot 3*i + v where inc[k, y, i, v]
-        inc = corr.increments(config.tau_hat)
+        self.inc = inc = corr.increments(config.tau_hat)
         self.delta = [
             [sum(1 << (_FIELD * s) for s in np.flatnonzero(inc[k, y]).tolist()) for y in STATES]
             for k in range(l)
         ]
         self.memo: dict[tuple[int, int], tuple[float, int]] = {}
+        # the key before any share: every SNP remains, every counter is 0
+        self.root = (1 << l) - 1, 0
 
-    def initial(self) -> tuple[int, int]:
-        return (1 << self.l) - 1, 0
-
-    def child(self, mask: int, counters: int, snp: int, y: int) -> tuple[int, int]:
-        child_mask = mask & ~(1 << snp)
-        cc = counters & self.keep[snp]
-        saturated = ((cc + self.at_cap) >> _TOP) & self.ones
-        cc += self.delta[snp][y] & self.live[child_mask] & ~saturated
-        alive = self.alive_at[self.l - child_mask.bit_count() + 1]
-        if alive:
-            cc &= (((cc + alive) >> _TOP) & self.ones) * _FIELD_MASK
-        return child_mask, cc
+    def key(self, shared: Sequence[int], counters: np.ndarray) -> tuple[int, int]:
+        """The memo key of a row that has shared the SNPs ``shared``, from its
+        raw (l, 3) counters: the remaining set, and the unshared SNPs'
+        counters saturated at cap, those below the next position's floor
+        zeroed.  A dead field stays dead (floor rises by at least one per
+        position), so this is the state that ``value`` steps to."""
+        shared = [int(k) for k in shared]
+        fields = np.minimum(counters, self.cap)
+        fields[fields < self.floor[len(shared) + 1]] = 0
+        fields[shared] = 0
+        packed = sum(int(c) << (_FIELD * s) for s, c in enumerate(fields.ravel().tolist()))
+        return (1 << self.l) - 1 - sum(1 << k for k in shared), packed
 
     def value(self, mask: int, counters: int) -> tuple[float, int]:
         """(best expected remaining utility, best next SNP; -1 when done)."""
@@ -167,7 +170,7 @@ class _ExactSolver:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        # child() inlined: this loop is the solver's hot path
+        # the transition is inlined: this loop is the solver's hot path
         memo, ones, keep, live, delta = self.memo, self.ones, self.keep, self.live, self.delta
         row, branches, at_cap = self.row, self.branches, self.at_cap
         position = self.l - mask.bit_count() + 1
@@ -197,25 +200,29 @@ class _ExactSolver:
         memo[key] = (best_val, best_act)
         return best_val, best_act
 
-    def state_after(self, prefix: Sequence[tuple[int, int]]) -> tuple[int, int]:
-        mask, counters = self.initial()
-        for k, y in prefix:
-            if not mask >> k & 1:
-                raise ValueError(f"SNP {k} appears twice in the prefix")
-            mask, counters = self.child(mask, counters, k, y)
-        return mask, counters
-
 
 class OrderPolicy:
     """Adaptive optimal policy: maps a realized prefix to the next SNP."""
 
     def __init__(self, solver: _ExactSolver):
         self._solver = solver
-        self.expected_utility = solver.value(*solver.initial())[0]
+        self.expected_utility = solver.value(*solver.root)[0]
 
     def action(self, prefix: Sequence[tuple[int, int]] = ()) -> int:
-        mask, counters = self._solver.state_after(prefix)
-        act = self._solver.value(mask, counters)[1]
+        """The next SNP after the (snp, reported value) pairs of ``prefix``."""
+        solver = self._solver
+        ks, ys = [], []
+        for n, (k, y) in enumerate(prefix):
+            entry = f"prefix entry {n} ({k}, {y})"
+            if not isinstance(k, (int, np.integer)) or not 0 <= k < solver.l:
+                raise ValueError(f"{entry}: SNP {k} is outside 0..{solver.l - 1}")
+            if not isinstance(y, (int, np.integer)) or y not in STATES:
+                raise ValueError(f"{entry}: value {y} is not one of {STATES}")
+            if k in ks:
+                raise ValueError(f"{entry}: SNP {k} appears twice in the prefix")
+            ks.append(k)
+            ys.append(y)
+        act = solver.value(*solver.key(ks, solver.inc[ks, ys].sum(axis=0)))[1]
         if act < 0:
             raise ValueError("every SNP has already been shared")
         return act
@@ -241,24 +248,7 @@ def expected_utility_of_order(
     over the full outcome tree (memoized, capped at EXACT_METHOD_MAX_SNPS)."""
     row = _as_row(row, corr)
     solver = _ExactSolver(row, corr, config, _validate_order(order, row.size))
-    return solver.value(*solver.initial())[0]
-
-
-def brute_force_order(
-    row, corr: CorrelationModel, config: MechanismConfig
-) -> tuple[ProcessingOrder, float]:
-    """Best static order by exhaustive enumeration (lexicographically first
-    among ties).  Capped at BRUTE_FORCE_MAX_SNPS."""
-    row = _as_row(row, corr)
-    l = row.size
-    if l > BRUTE_FORCE_MAX_SNPS:
-        raise ValueError(f"brute force supports at most {BRUTE_FORCE_MAX_SNPS} SNPs, got {l}")
-    best_order, best_val = None, -1.0
-    for perm in itertools.permutations(range(l)):
-        val = expected_utility_of_order(row, perm, corr, config)
-        if val > best_val:
-            best_order, best_val = perm, val
-    return best_order, best_val
+    return solver.value(*solver.root)[0]
 
 
 def _greedy_rows(
@@ -308,17 +298,12 @@ def greedy_share(
 
 
 def _policy_chooser(policy: OrderPolicy):
-    """The next SNP is ``policy``'s action on the row's realized prefix; the
-    solver's state steps once per share instead of replaying the prefix."""
+    """The next SNP is ``policy``'s action, looked up from the row's shared
+    SNPs and the counters the sharing loop keeps."""
     solver = policy._solver
-    state = solver.initial()
 
     def next_snp(taken, counters, values) -> np.ndarray:
-        nonlocal state
-        if taken.shape[1]:
-            k = int(taken[0, -1])
-            state = solver.child(*state, k, int(values[0, k]))
-        return np.array([solver.value(*state)[1]])
+        return np.array([solver.value(*solver.key(taken[0], counters[0]))[1]])
 
     return next_snp
 

@@ -1,12 +1,14 @@
 """Shared helpers for the test suite: handcrafted correlation models,
-exact-arithmetic randomized-response parameters, the model fit's formula on
-float64 counts, scalar references for the sequential mechanism that the
+exact-arithmetic randomized-response parameters, the exact-order oracles
+(expectimax over raw prefixes and brute force over static orders), the model
+fit's formula on float64 counts, scalar references for the sequential mechanism that the
 vectorized code is checked against, the per-family-shape parent posteriors,
 and value-by-value writers and readers for the file formats."""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +19,8 @@ import numpy as np
 from corrldp.beacon import per_snp_expected_utility
 from corrldp.data import STATES, CorrelationModel, as_seed_sequence
 from corrldp.kinship import PARENT_GIVEN_CHILD, PARENT_GIVEN_TWO_CHILDREN
-from corrldp.mechanism import Branch, MechanismConfig, sharing_probs
+from corrldp.mechanism import Branch, MechanismConfig, _as_row, sharing_probs
+from corrldp.ordering import expected_utility_of_order
 from corrldp.rr import PerturbParams, rr_params
 
 UNIFORM = (1.0 / 3, 1.0 / 3, 1.0 / 3)
@@ -72,6 +75,24 @@ def reference_optimal_value(spec) -> float:
         return val
 
     return best(spec.initial_state())
+
+
+BRUTE_FORCE_MAX_SNPS = 6
+
+
+def brute_force_order(row, corr: CorrelationModel, config: MechanismConfig) -> tuple[tuple[int, ...], float]:
+    """Best static order by exhaustive enumeration (lexicographically first
+    among ties).  Capped at BRUTE_FORCE_MAX_SNPS."""
+    row = _as_row(row, corr)
+    l = row.size
+    if l > BRUTE_FORCE_MAX_SNPS:
+        raise ValueError(f"brute force supports at most {BRUTE_FORCE_MAX_SNPS} SNPs, got {l}")
+    best_order, best_val = None, -1.0
+    for perm in itertools.permutations(range(l)):
+        val = expected_utility_of_order(row, perm, corr, config)
+        if val > best_val:
+            best_order, best_val = perm, val
+    return best_order, best_val
 
 
 # ---------------------------------------------------------- model fit reference

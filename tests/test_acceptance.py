@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from support import MdpSpec, reference_optimal_value
+from support import MdpSpec, brute_force_order, reference_optimal_value
 
 from corrldp.attack import (
     AttackConfig,
@@ -45,7 +45,6 @@ from corrldp.mechanism import (
     sharing_probs,
 )
 from corrldp.ordering import (
-    brute_force_order,
     expected_utility_of_order,
     greedy_share,
     optimal_order_value_iteration,

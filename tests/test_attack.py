@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from support import custom_corr, uniform_corr
 
+from corrldp import attack
 from corrldp.attack import (
     AttackConfig,
     attack_population,
@@ -373,6 +374,28 @@ def test_postprocess_population_rows_converging_in_different_sweeps():
         pop = rr_postprocess_population(Y, corr, 0.12, 0.15, max_sweeps)
         for j in range(30):
             assert np.array_equal(pop[j], _postprocess_reference(Y[j], corr, 0.12, 0.15, max_sweeps))
+
+
+def test_postprocess_counts_once_per_call(monkeypatch):
+    # each rewrite moves its row's counts along, so the counts are taken once
+    # per call however many sweeps run
+    m = generate_synthetic_population(SyntheticSpec(n=40, l=12, maf=0.25, rho=0.9), 7)
+    corr = compute_correlation_model(m)
+    Y = np.random.default_rng(7).integers(0, 3, size=(30, 12))
+    one_sweep = rr_postprocess_population(Y, corr, 0.12, 0.15, max_sweeps=1)
+    count = attack._attack_counts
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(attack, "_attack_counts", counted)
+    out = rr_postprocess_population(Y, corr, 0.12, 0.15, max_sweeps=10)
+    assert not np.array_equal(out, one_sweep)  # more than one sweep ran
+    assert len(calls) == 1
+    for j in range(30):
+        assert np.array_equal(out[j], _postprocess_reference(Y[j], corr, 0.12, 0.15, max_sweeps=10))
 
 
 def test_postprocess_population_leaves_cells_with_no_survivor():

@@ -377,14 +377,15 @@ def test_optimal_order_preview_steps_the_solver_once_per_position(tmp_path, caps
     data = _gen(tmp_path, capsys, l=9)
     argv = ["order", "--data", str(data), "--row", "3", "--epsilon", "1.0", "--gamma-hat", "0.3",
             "--order", "optimal"]
-    child = ordering._ExactSolver.child
+    key = ordering._ExactSolver.key
     calls = []
 
     def counted(self, *args):
         calls.append(args)
-        return child(self, *args)
+        return key(self, *args)
 
-    monkeypatch.setattr(ordering._ExactSolver, "child", counted)
+    # the preview looks up one memo key per position, from the loop's counters
+    monkeypatch.setattr(ordering._ExactSolver, "key", counted)
     code, stdout, _ = run_cli(argv, capsys)
     assert code == 0 and len(calls) <= 9
     # the preview is the policy's action on the all-zero prefix, position by position

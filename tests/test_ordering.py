@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from support import MdpSpec, custom_corr, reference_greedy, reference_optimal_value, uniform_corr
+from support import (
+    BRUTE_FORCE_MAX_SNPS,
+    MdpSpec,
+    brute_force_order,
+    custom_corr,
+    reference_greedy,
+    reference_optimal_value,
+    uniform_corr,
+)
 
 from corrldp.attack import recover_possible_inputs
 from corrldp.data import (
@@ -18,11 +26,9 @@ from corrldp.data import (
 )
 from corrldp.mechanism import MechanismConfig, SharingMode, perturb_population, perturb_sequence
 from corrldp.ordering import (
-    BRUTE_FORCE_MAX_SNPS,
     EXACT_METHOD_MAX_SNPS,
     _greedy_rows,
     _optimal_rows,
-    brute_force_order,
     expected_utility_of_order,
     greedy_share,
     optimal_order_value_iteration,
@@ -170,16 +176,26 @@ def test_memo_keys_hold_no_counter_below_the_floor():
 
 
 def test_policy_on_raw_prefixes_looks_up_the_solved_states():
-    for row, corr, cfg in _instances(4, l=6, seed0=260, gammas=(0.8, 0.5, 1.0)):
+    # gamma_hat 0.5 and 0.8 make the cap bind; 1.5 and 4.0 leave no counter
+    # that can reach a threshold, so every live one is zeroed as dead
+    instances = itertools.chain(
+        _instances(4, l=6, seed0=260, gammas=(0.8, 0.5, 1.0)),
+        _instances(2, l=6, seed0=270, gammas=(1.5, 4.0, 4.0)),
+    )
+    for row, corr, cfg in instances:
         spec = MdpSpec(row=tuple(int(v) for v in row), corr=corr, config=cfg)
         policy, _ = optimal_order_value_iteration(row, corr, cfg)
         solver = policy._solver
         solved = dict(solver.memo)
+        inc = corr.increments(cfg.tau_hat)
+        assert solver.key((), np.zeros((len(row), 3), dtype=int)) == solver.root
 
         def walk(prefix):
             if len(prefix) == len(row):
                 return
-            assert solver.state_after(prefix) in solved, prefix
+            shared = [k for k, _ in prefix]
+            counters = inc[shared, [y for _, y in prefix]].sum(axis=0)
+            assert solver.key(shared, counters) in solved, prefix
             for _, nxt, _ in spec.transition(prefix, policy.action(prefix)):
                 walk(nxt)
 
@@ -243,6 +259,24 @@ def test_policy_tie_breaks_to_lowest_index():
     assert policy.action(((0, 2),)) == 1
     with pytest.raises(ValueError):
         policy.action(((0, 0), (1, 0), (2, 0)))
+
+
+@pytest.mark.parametrize(
+    "prefix, message",
+    [
+        (((0, 0), (3, 0)), r"prefix entry 1 \(3, 0\): SNP 3 is outside 0\.\.2"),
+        (((-1, 0),), r"prefix entry 0 \(-1, 0\): SNP -1 is outside 0\.\.2"),
+        (((0, 0), (1, 3)), r"prefix entry 1 \(1, 3\): value 3 is not one of \(0, 1, 2\)"),
+        (((0, 0), (0, 1)), r"prefix entry 1 \(0, 1\): SNP 0 appears twice in the prefix"),
+    ],
+    ids=["snp-past-l", "negative-snp", "value-past-2", "repeat"],
+)
+def test_policy_action_names_a_malformed_prefix_entry(prefix, message):
+    corr = uniform_corr(3)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.5)
+    policy, _ = optimal_order_value_iteration([1, 1, 1], corr, cfg)
+    with pytest.raises(ValueError, match=message):
+        policy.action(prefix)
 
 
 def test_monte_carlo_agrees_with_exact():

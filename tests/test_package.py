@@ -1,4 +1,4 @@
-"""The package's public surface, and no unused imports in its modules or scripts."""
+"""The package's public surface, and no unused imports in its modules, scripts or tests."""
 
 import ast
 import types
@@ -34,7 +34,8 @@ def _unused_imports(path: Path) -> list[str]:
 def test_modules_and_scripts_have_no_unused_imports():
     paths = [p for p in (ROOT / "src" / "corrldp").glob("*.py") if p.name != "__init__.py"]
     paths += (ROOT / "scripts").glob("*.py")
-    assert len(paths) > 10
+    paths += (ROOT / "tests").glob("*.py")
+    assert len(paths) > 25
     unused = {p.relative_to(ROOT).as_posix(): names for p in paths if (names := _unused_imports(p))}
     assert unused == {}
 
