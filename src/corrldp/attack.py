@@ -184,10 +184,13 @@ def rr_postprocess_population(
     if corr.l != l:
         raise ValueError(f"correlation model covers {corr.l} SNPs, data has {l}")
     inc = corr.increments(tau)
-    idx = np.arange(l)
     threshold = gamma * l
     # counted once: each rewrite below moves its row's counts with it
     counts = _attack_counts(Y, _count_operand(inc))  # (n, l, 3)
+    flat_counts = counts.reshape(n, 3 * l)  # a view: column 3k + v
+    # row 3k + b: Pr(SNP_i = . | SNP_k = b) with NaN as 0, then its defined flags
+    table = np.empty((l, 3, 6))
+    offsets = 3 * np.arange(l)[:, None]
 
     for _ in range(max_sweeps):
         changed = False
@@ -196,19 +199,22 @@ def rr_postprocess_population(
             rows = np.flatnonzero(ruled_out[np.arange(n), Y[:, i]] & ~ruled_out.all(axis=1))
             if rows.size == 0:
                 continue
-            reports = Y[rows]
-            # row i of the model, self-pair excluded from the averages
-            defined = ~np.isnan(corr.cond[i])
-            defined[i] = False
-            cond_filled = np.where(defined, corr.cond[i], 0.0)
-            # a sequential sum over k, not a matmul: the order of the float
-            # additions decides ties between states
-            sums = cond_filled[idx, :, reports].sum(axis=1)
-            support = defined[idx, :, reports].sum(axis=1)
+            cond_i = corr.cond[i].transpose(0, 2, 1)  # [k, b, v]
+            defined = ~np.isnan(cond_i)
+            table[:, :, :3] = np.where(defined, cond_i, 0.0)
+            table[:, :, 3:] = defined
+            table[i] = 0.0  # the self-pair stays out of the averages
+            picked = table.reshape(3 * l, 6).take(Y[rows].T + offsets, axis=0)  # (l, R, 6)
+            # a sum over the outer axis adds k = 0, 1, ... in order; a matmul or
+            # a sum along a contiguous k axis would reorder the float additions,
+            # and that order decides ties between states
+            totals = picked.sum(axis=0)
+            sums, support = totals[:, :3], totals[:, 3:]
             means = np.where(support > 0, sums / np.maximum(support, 1), -1.0)
             means[ruled_out[rows]] = -np.inf
             best = means.argmax(axis=1)  # a survivor, so never the ruled-out report
-            counts[rows] += inc[i, best].astype(np.int32) - inc[i, Y[rows, i]]
+            inc_i = inc[i].reshape(3, 3 * l).view(np.int8)
+            flat_counts[rows] += inc_i[best] - inc_i[Y[rows, i]]
             Y[rows, i] = best
             changed = True
         if not changed:

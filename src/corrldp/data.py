@@ -20,6 +20,8 @@ import numpy as np
 STATES = (0, 1, 2)
 NUM_STATES = 3
 _DIGITS = frozenset("012")
+_CHECK_CELLS = 1 << 18  # conditionals per slice of the model checks
+_DRAW_BLOCK = 8192  # uniforms per call of the synthetic generator
 
 
 class GenotypeError(ValueError):
@@ -205,18 +207,35 @@ def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     ]
 
 
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``rng.choice(3, p=triple)``'s rule for an (m, 2, 1) stack of normalized
+    cumulative weights and (m, n) uniforms: the count of weights <= u."""
+    return (cdf[:, 0] <= u).view(np.int8) + (cdf[:, 1] <= u).view(np.int8)
+
+
 def generate_synthetic_population(spec: SyntheticSpec, seed) -> GenotypeMatrix:
     """Draw a synthetic genotype matrix; identical seeds give identical matrices."""
     rng = np.random.default_rng(as_seed_sequence(seed))
-    mafs = spec.maf_per_column()
-    rhos = spec.rho_per_column()
-    out = np.empty((spec.n, spec.l), dtype=np.int8)
-    triple = hardy_weinberg_triple(mafs[0])
-    out[:, 0] = rng.choice(3, size=spec.n, p=triple)
-    for t in range(1, spec.l):
-        fresh = rng.choice(3, size=spec.n, p=hardy_weinberg_triple(mafs[t]))
-        copy = rng.random(spec.n) < rhos[t]
-        out[:, t] = np.where(copy, out[:, t - 1], fresh)
+    n, l = spec.n, spec.l
+    cdf = np.array([hardy_weinberg_triple(f) for f in spec.maf_per_column()]).cumsum(axis=1)
+    cdf = (cdf / cdf[:, -1:])[:, :2, None]
+    rho = np.array(spec.rho_per_column())[:, None]
+    out = np.empty((n, l), dtype=np.int8)
+    out[:, 0] = _inverse_cdf(cdf[:1], rng.random((1, n)))[0]
+    # the stream that rng.choice(3, n, p=triple) then rng.random(n) per later
+    # column would read, taken in blocks of columns of at most _DRAW_BLOCK draws
+    width = max(1, _DRAW_BLOCK // (2 * n))
+    for a in range(1, l, width):
+        b = min(a + width, l)
+        u = rng.random((b - a, 2, n))  # per column: n choice, then n copy draws
+        fresh = np.empty((b - a + 1, n), dtype=np.int8)
+        fresh[0] = out[:, a - 1]
+        fresh[1:] = _inverse_cdf(cdf[a:b], u[:, 0])
+        # a cell takes the fresh draw of the last column at or before it that
+        # did not copy its predecessor; row 0 stands for column a - 1
+        source = np.where(u[:, 1] < rho[a:b], 0, np.arange(1, b - a + 1)[:, None])
+        np.maximum.accumulate(source, axis=0, out=source)
+        out[:, a:b] = np.take_along_axis(fresh, source, axis=0).T
     return GenotypeMatrix(out)
 
 
@@ -242,19 +261,26 @@ class CorrelationModel:
             raise GenotypeError(
                 f"marginals must be ({cond.shape[0]}, 3), got {marg.shape}"
             )
-        # an undefined (NaN) conditional fails neither comparison
-        if np.any((cond < -1e-12) | (cond > 1.0 + 1e-12)):
-            raise GenotypeError("conditional probabilities must lie in [0, 1]")
+        # both checks run over slices of SNPs i of at most _CHECK_CELLS
+        # conditionals, so no temporary is table-sized; the range test covers
+        # the whole table first, so a table failing both gets the range message
+        width = max(1, _CHECK_CELLS // (9 * max(1, cond.shape[0])))
+        blocks = [cond[s : s + width] for s in range(0, cond.shape[0], width)]
+        for block in blocks:
+            # an undefined (NaN) conditional fails neither comparison
+            if np.any((block < -1e-12) | (block > 1.0 + 1e-12)):
+                raise GenotypeError("conditional probabilities must lie in [0, 1]")
         # Defined conditionals for a fixed (i, k, b) must sum to 1.
         # three passes over state a: a reduction over that short axis is
         # several times slower, and np.nansum copies the table
-        defined = ~np.isnan(cond)
-        colsums = np.zeros(cond.shape[:2] + (3,))
-        for a in STATES:
-            np.add(colsums, cond[:, :, a], out=colsums, where=defined[:, :, a])
-        anydef = defined[:, :, 0] | defined[:, :, 1] | defined[:, :, 2]
-        if np.any(np.abs(colsums[anydef] - 1.0) > 1e-9):
-            raise GenotypeError("defined conditionals Pr(. | SNP_k = b) must sum to 1")
+        for block in blocks:
+            defined = ~np.isnan(block)
+            colsums = np.zeros(block.shape[:2] + (3,))
+            for a in STATES:
+                np.add(colsums, block[:, :, a], out=colsums, where=defined[:, :, a])
+            anydef = defined[:, :, 0] | defined[:, :, 1] | defined[:, :, 2]
+            if np.any(np.abs(colsums[anydef] - 1.0) > 1e-9):
+                raise GenotypeError("defined conditionals Pr(. | SNP_k = b) must sum to 1")
         self.cond = cond
         self.marginals = marg
 

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: handcrafted correlation models,
 exact-arithmetic randomized-response parameters, the exact-order oracles
 (expectimax over raw prefixes and brute force over static orders), the model
-fit's formula on float64 counts, scalar references for the sequential mechanism that the
+fit's formula on float64 counts, the column-by-column synthetic
+generator, scalar references for the sequential mechanism that the
 vectorized code is checked against, the per-family-shape parent posteriors,
 and value-by-value writers and readers for the file formats."""
 
@@ -17,7 +18,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from corrldp.beacon import per_snp_expected_utility
-from corrldp.data import STATES, CorrelationModel, as_seed_sequence
+from corrldp.data import (
+    STATES,
+    CorrelationModel,
+    SyntheticSpec,
+    as_seed_sequence,
+    hardy_weinberg_triple,
+)
 from corrldp.kinship import PARENT_GIVEN_CHILD, PARENT_GIVEN_TWO_CHILDREN
 from corrldp.mechanism import Branch, MechanismConfig, _as_row, sharing_probs
 from corrldp.ordering import expected_utility_of_order
@@ -112,6 +119,22 @@ def reference_fit(values: np.ndarray, pseudo_count: float = 0.0) -> tuple[np.nda
         cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
     marginals = (onehot.sum(axis=0) + pseudo_count) / (n + 3.0 * pseudo_count)
     return cond, marginals
+
+
+def reference_synthetic_population(spec: SyntheticSpec, seed) -> np.ndarray:
+    """The int8 (n, l) matrix drawn column by column: ``rng.choice`` from
+    column 0's triple, then for each later column a ``rng.choice`` from its
+    triple and ``rng.random`` copy draws against ``rho[t]``."""
+    rng = np.random.default_rng(as_seed_sequence(seed))
+    mafs = spec.maf_per_column()
+    rhos = spec.rho_per_column()
+    out = np.empty((spec.n, spec.l), dtype=np.int8)
+    out[:, 0] = rng.choice(3, size=spec.n, p=hardy_weinberg_triple(mafs[0]))
+    for t in range(1, spec.l):
+        fresh = rng.choice(3, size=spec.n, p=hardy_weinberg_triple(mafs[t]))
+        copy = rng.random(spec.n) < rhos[t]
+        out[:, t] = np.where(copy, out[:, t - 1], fresh)
+    return out
 
 
 # ------------------------------------------- scalar mechanism references

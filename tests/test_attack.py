@@ -350,7 +350,9 @@ def _sweeps_to_converge(y, corr, tau, gamma, cap=10):
     return cap
 
 
-@pytest.mark.parametrize("n, l, data_seed", [(12, 9, 0), (8, 16, 1), (20, 5, 2), (5, 24, 3)])
+@pytest.mark.parametrize(
+    "n, l, data_seed", [(12, 9, 0), (8, 16, 1), (20, 5, 2), (5, 24, 3), (4, 200, 4)]
+)
 def test_postprocess_population_matches_reference_row_by_row(n, l, data_seed):
     m = generate_synthetic_population(SyntheticSpec(n=40, l=l, maf=0.25, rho=0.9), 200 + data_seed)
     corr = compute_correlation_model(m)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrldp import data
 from corrldp.data import (
     CorrelationModel,
     GenotypeError,
@@ -22,7 +23,12 @@ from corrldp.data import (
     load_genotype_matrix,
     save_genotype_matrix,
 )
-from support import reference_fit, reference_model_json, reference_save_genotypes
+from support import (
+    reference_fit,
+    reference_model_json,
+    reference_save_genotypes,
+    reference_synthetic_population,
+)
 
 
 # ---------------------------------------------------------------- matrices
@@ -168,6 +174,35 @@ def test_synthetic_per_column_maf_and_rho():
     assert abs(np.mean(m.values[:, 2] == 0) - 0.9801) < 0.01
     corr = np.mean((m.values[:, 1] > 0) & (m.values[:, 2] > 0))
     assert abs(corr - np.mean(m.values[:, 1] > 0) * np.mean(m.values[:, 2] > 0)) < 0.02
+
+
+@pytest.mark.parametrize("draw_block", [None, 1], ids=["default-calls", "one-column-per-call"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SyntheticSpec(n=150, l=200, maf=0.2, rho=0.8),
+        SyntheticSpec(n=1, l=1),
+        SyntheticSpec(n=5, l=2, maf=0.5, rho=1.0),
+        SyntheticSpec(n=40, l=4, maf=(0.3, 0.3, 0.01, 0.01), rho=(0.0, 1.0, 0.0, 1.0)),
+        SyntheticSpec(n=3, l=1, maf=0.4, rho=0.5),
+        SyntheticSpec(
+            n=17, l=12, maf=tuple(np.linspace(0.01, 0.5, 12)), rho=tuple(np.linspace(0.0, 1.0, 12))
+        ),
+        SyntheticSpec(n=64, l=33, maf=1e-9, rho=0.0),
+        SyntheticSpec(n=100, l=50, maf=0.1, rho=(0.9,) * 25 + (0.0,) + (0.9,) * 24),
+    ],
+    ids=["grid", "one-cell", "two-columns", "alternating", "one-column", "per-column", "rare", "rho-zero-mid"],
+)
+def test_synthetic_population_matches_the_column_loop(spec, draw_block, monkeypatch):
+    # with a draw block of 1 every column is its own rng.random call, so each
+    # copy chain crosses a block boundary
+    if draw_block is not None:
+        monkeypatch.setattr(data, "_DRAW_BLOCK", draw_block)
+    for seed in range(12):
+        got = generate_synthetic_population(spec, seed).values
+        want = reference_synthetic_population(spec, seed)
+        assert got.flags.c_contiguous
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), seed
 
 
 def test_synthetic_spec_validation():
@@ -359,11 +394,21 @@ def test_malformed_model_file_names_its_path(tmp_path):
         assert str(exc.value).startswith(f"{path}: ")
 
 
-def test_correlation_model_validation():
+def test_correlation_model_validation(monkeypatch):
     bad = np.full((2, 2, 3, 3), 1.0 / 3)
     bad[0, 1, :, 0] = (0.5, 0.5, 0.5)  # column sums to 1.5
     with pytest.raises(GenotypeError, match="sum to 1"):
         CorrelationModel(cond=bad, marginals=np.full((2, 3), 1.0 / 3))
+    # the checks take one SNP per slice here; a table failing both, the range
+    # fault in a later slice than the sum fault, gets the range message
+    monkeypatch.setattr(data, "_CHECK_CELLS", 9 * 3)
+    bad = np.full((3, 3, 3, 3), 1.0 / 3)
+    bad[0, 1, :, 0] = (0.5, 0.5, 0.5)
+    with pytest.raises(GenotypeError, match="sum to 1"):
+        CorrelationModel(cond=bad, marginals=np.full((3, 3), 1.0 / 3))
+    bad[2, 0, :, 2] = (-0.5, 1.0, 0.5)
+    with pytest.raises(GenotypeError, match=r"must lie in \[0, 1\]"):
+        CorrelationModel(cond=bad, marginals=np.full((3, 3), 1.0 / 3))
     with pytest.raises(GenotypeError, match="marginals"):
         CorrelationModel(
             cond=np.full((2, 2, 3, 3), 1.0 / 3), marginals=np.full((3, 3), 1.0 / 3)
@@ -432,3 +477,19 @@ def test_fit_peak_memory_stays_below_three_models():
         tracemalloc.stop()
     assert corr.l == l
     assert peak < 3 * 72 * l**2, peak
+
+
+def test_model_checks_build_no_table_sized_temporaries():
+    # the range and sum checks run over slices of SNPs, so the peak stays a
+    # fraction of the 72 * l**2 bytes of the table itself
+    l = 400
+    m = generate_synthetic_population(SyntheticSpec(n=200, l=l, maf=0.2, rho=0.8), 1)
+    corr = compute_correlation_model(m)
+    tracemalloc.start()
+    try:
+        checked = CorrelationModel(cond=corr.cond, marginals=corr.marginals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked.cond is corr.cond
+    assert peak < 24 * l**2, peak
