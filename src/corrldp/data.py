@@ -325,7 +325,10 @@ class CorrelationModel:
     def from_json(cls, path) -> "CorrelationModel":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+                # the conditionals are count ratios, so their texts repeat:
+                # each distinct text becomes a float once, by the float(text)
+                # call json makes for every number token by default
+                payload = json.load(fh, parse_float=_FloatMemo().__getitem__)
             l = payload["l"]
             cond = np.array(payload["cond"], dtype=np.float64)  # null -> nan
             marginals = np.asarray(payload["marginals"], dtype=np.float64)
@@ -339,6 +342,14 @@ class CorrelationModel:
             return cls(cond=cond, marginals=marginals)
         except GenotypeError as exc:
             raise GenotypeParseError(f"{path}: malformed correlation model: {exc}") from None
+
+
+class _FloatMemo(dict):
+    """Number text -> ``float(text)``, converting each distinct text once."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
 
 
 def repr_each(values: np.ndarray, nan: str = "nan") -> np.ndarray:

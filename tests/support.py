@@ -326,6 +326,22 @@ def reference_model_json(model: CorrelationModel, path) -> None:
         json.dump(payload, fh, separators=(",", ":"))
 
 
+def reference_read_model(path) -> tuple[np.ndarray, np.ndarray]:
+    """The model file's (cond, marginals) through plain ``json.load``, every
+    number token converted on its own and null read as NaN."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    cond = np.array(payload["cond"], dtype=np.float64)
+    return cond, np.asarray(payload["marginals"], dtype=np.float64)
+
+
+def with_first_conditional(text: str, token: str) -> str:
+    """A model file's text as ``to_json`` writes it, with its first
+    conditional, ``cond[0][0][0][0]``, written as ``token``."""
+    head, _, tail = text.partition('"cond":[[[[')
+    return head + '"cond":[[[[' + token + tail[tail.index(","):]
+
+
 def reference_save_genotypes(values: np.ndarray, path) -> None:
     """The genotype text format, one token at a time."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -22,6 +22,7 @@ from corrldp.attack import (
 )
 from corrldp.data import (
     STATES,
+    CorrelationModel,
     SyntheticSpec,
     compute_correlation_model,
     generate_synthetic_population,
@@ -425,6 +426,43 @@ def test_postprocess_population_tie_prefers_lower_state():
     Y = np.array([[0, 0], [1, 1], [2, 0], [0, 0]])
     out = rr_postprocess_population(Y, corr, 0.02, 0.5)
     assert out.tolist() == [[1, 0], [0, 1], [2, 0], [1, 0]]
+
+
+def test_postprocess_population_leaves_the_self_pair_out_of_the_means():
+    # report 0 at SNP 1 rules out state 0 of SNP 0.  In row 0, column (0, 2, 0) is
+    # defined for state 1 only, so the survivors' means are 1.6 / 2 for
+    # state 1 and 0.399 / 1 for state 2.  The self-pair column (0, 0, 0) is
+    # undefined for state 0; counted, it would make them 1.6 / 3 and 1.399 / 2
+    cond = np.full((3, 3, 3, 3), 1.0 / 3)
+    cond[0, 1, :, 0] = (0.001, 0.6, 0.399)
+    cond[0, 2, :, 0] = (np.nan, 1.0, np.nan)
+    cond[0, 0, :, 0] = (np.nan, 0.0, 1.0)
+    corr = CorrelationModel(cond=cond, marginals=np.full((3, 3), 1.0 / 3))
+    Y = np.array([[0, 0, 0], [0, 0, 1]])
+    out = rr_postprocess_population(Y, corr, 0.02, 1 / 3)
+    assert out.tolist() == [[1, 0, 0], [1, 0, 1]]
+    for j in range(2):
+        assert np.array_equal(out[j], _postprocess_reference(Y[j], corr, 0.02, 1 / 3))
+
+
+def test_postprocess_population_adds_k_in_index_order():
+    # reports 0 at SNPs 2 and 5 rule out state 0 of SNP 0 (conditionals
+    # below tau).  In exact arithmetic states 1 and 2 tie at 2.75 over SNPs
+    # 1-7, and a tie goes to state 1; adding k = 1, ..., 7 in order gives
+    # 2.75 for state 1 and 2.7500000000000004 for state 2, so state 2 wins.
+    # Adding in reverse, in halves, k innermost or as a matrix product gives
+    # a tie or state 1 ahead
+    p1 = (0.55, 0.55, 0.35, 0.3, 0.5, 0.4, 0.1)
+    p2 = (0.25, 0.4, 0.45, 0.55, 0.5, 0.15, 0.45)
+    cond = np.full((8, 8, 3, 3), 1.0 / 3)
+    for k in range(1, 8):
+        cond[0, k, :, 0] = (1.0 - p1[k - 1] - p2[k - 1], p1[k - 1], p2[k - 1])
+    corr = CorrelationModel(cond=cond, marginals=np.full((8, 3), 1.0 / 3))
+    Y = np.zeros((2, 8), dtype=int)
+    Y[1, 0] = 1  # a consistent report stays
+    out = rr_postprocess_population(Y, corr, 0.08, 0.25)
+    assert out.tolist() == [[2] + [0] * 7, [1] + [0] * 7]
+    assert np.array_equal(out[0], _postprocess_reference(Y[0], corr, 0.08, 0.25))
 
 
 def test_postprocess_builds_no_dense_copy_of_the_model():

@@ -14,7 +14,7 @@ from corrldp.cli import _read_belief_csv, main
 from corrldp.data import CorrelationModel, compute_correlation_model, load_genotype_matrix
 from corrldp.kinship import FamilyShape, FamilyState, ShareRecord, max_budget_general
 from corrldp.mechanism import MechanismConfig
-from support import reference_belief_csv, reference_read_belief_csv
+from support import reference_belief_csv, reference_read_belief_csv, with_first_conditional
 
 
 def run_cli(argv, capsys):
@@ -259,10 +259,14 @@ def test_malformed_model_file_exits_1(tmp_path, capsys):
     payload = json.loads(text)
     cond = np.nan_to_num(np.array(payload["cond"], dtype=float))
     bad = tmp_path / "bad.json"
-    for content in (
-        text[:-10],
-        json.dumps(dict(payload, marginals=payload["marginals"][:-1])),
-        json.dumps(dict(payload, cond=(cond / 2).tolist())),
+    for content, message in (
+        (text[:-10], "malformed correlation model"),
+        (json.dumps(dict(payload, marginals=payload["marginals"][:-1])), "marginals must be"),
+        (json.dumps(dict(payload, cond=(cond / 2).tolist())), "must sum to 1"),
+        # tokens that parse, to a value the range check refuses
+        (with_first_conditional(text, "1e999"), "must lie in [0, 1]"),
+        (with_first_conditional(text, "-1e-5"), "must lie in [0, 1]"),
+        (with_first_conditional(text, "Infinity"), "must lie in [0, 1]"),
     ):
         bad.write_text(content)
         code, out, err = run_cli(
@@ -271,7 +275,7 @@ def test_malformed_model_file_exits_1(tmp_path, capsys):
             capsys,
         )
         assert code == 1 and out == ""
-        assert err.startswith(f"error: {bad}: ")
+        assert err.startswith(f"error: {bad}: ") and message in err, err
 
 
 def test_malformed_belief_file_exits_1_before_printing(tmp_path, capsys):

@@ -26,8 +26,10 @@ from corrldp.data import (
 from support import (
     reference_fit,
     reference_model_json,
+    reference_read_model,
     reference_save_genotypes,
     reference_synthetic_population,
+    with_first_conditional,
 )
 
 
@@ -365,6 +367,70 @@ def test_model_file_matches_json_dump(tmp_path, n, l, maf, pseudo_count):
     assert loaded.marginals.tobytes() == corr.marginals.tobytes()
 
 
+def _missing_state_two(n=30, l=12, seed=0):
+    # columns 0-2 never hold state 2 and column 3 never holds state 0, so
+    # every conditional given those states is undefined at pseudo-count 0
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 3, size=(n, l))
+    values[:, :3] = rng.integers(0, 2, size=(n, 3))
+    values[:, 3] = rng.integers(1, 3, size=n)
+    return values
+
+
+def _fitted_model_file(values, pseudo_count):
+    return lambda path: compute_correlation_model(GenotypeMatrix(values), pseudo_count).to_json(path)
+
+
+def _spaced_model_file(path):
+    _fitted_model_file(_missing_state_two(n=9, l=5, seed=2), 0.0)(path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(",", " ,\n  ").replace("[", "[ \t"), encoding="utf-8")
+
+
+def _hand_written_model_file(cond: str, marginals: str):
+    text = f'{{"l": 1, "cond": [[{cond}]], "marginals": [{marginals}]}}'
+    return lambda path: path.write_text(text, encoding="utf-8")
+
+
+# each case is a function writing one model file; in the hand-written ones,
+# row a of cond[0][0] holds Pr(SNP_0 = a | SNP_0 = b) for b = 0, 1, 2, so
+# each column sums to 1
+_MODEL_FILES = {
+    "canonical-with-nulls": _fitted_model_file(_missing_state_two(n=9, l=5, seed=2), 0.0),
+    "canonical-pseudo-count": _fitted_model_file(_missing_state_two(n=9, l=5, seed=2), 0.5),
+    "canonical-one-snp-with-nulls": _fitted_model_file(np.array([[0], [2], [2]]), 0.0),
+    "spaced-with-nulls": _spaced_model_file,
+    "integer-tokens": _hand_written_model_file(
+        "[[1, 0, 0.5], [0, 1, 0.5], [0, 0, 0]]", "[1, 0, 0]"
+    ),
+    "exponent-tokens": _hand_written_model_file(
+        "[[5E-1, 1e-05, 0.3], [0.49999, 0.99999, 0.7], [1e-05, 0, 0E0]]", "[5E-1, 0.49999, 1e-05]"
+    ),
+    "one-value-three-texts": _hand_written_model_file(
+        "[[0.5, 0.50, 0], [5e-1, 0, 0.50], [0, 5e-1, 0.5]]", "[0.50, 0.5, 5e-1]"
+    ),
+    "negative-zero": _hand_written_model_file(
+        "[[-0.0, 0.0, 1.0], [1.0, -0.0, 0.0], [0.0, 1.0, -0.0]]", "[-0.0, 0.0, 1.0]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MODEL_FILES))
+def test_model_reader_is_bit_identical_to_plain_json_load(tmp_path, case):
+    # the reader converts each distinct number text once; every array must
+    # still be what converting every token on its own gives
+    path = tmp_path / "model.json"
+    _MODEL_FILES[case](path)
+    cond, marginals = reference_read_model(path)
+    loaded = CorrelationModel.from_json(path)
+    assert loaded.cond.dtype == cond.dtype and loaded.cond.tobytes() == cond.tobytes()
+    assert loaded.marginals.dtype == marginals.dtype
+    assert loaded.marginals.tobytes() == marginals.tobytes()
+    assert np.isnan(cond).any() == case.endswith("with-nulls")
+    # -0.0 keeps its sign bit beside 0.0, though the two compare equal
+    assert np.signbit(loaded.cond).any() == (case == "negative-zero")
+
+
 def test_empty_model_file_matches_json_dump(tmp_path):
     corr = CorrelationModel(cond=np.empty((0, 0, 3, 3)), marginals=np.empty((0, 3)))
     path, reference = tmp_path / "model.json", tmp_path / "ref.json"
@@ -387,6 +453,10 @@ def test_malformed_model_file_names_its_path(tmp_path):
         (json.dumps(unnormalized), "must sum to 1"),
         ('{"l": 2, "cond": [[1, 2], [3]], "marginals": []}', "malformed correlation model"),
         ('{"l": 3, "marginals": []}', "malformed correlation model"),
+        # tokens that parse, to a value the range check refuses
+        (with_first_conditional(text, "1e999"), r"must lie in \[0, 1\]"),
+        (with_first_conditional(text, "-1e-5"), r"must lie in \[0, 1\]"),
+        (with_first_conditional(text, "Infinity"), r"must lie in \[0, 1\]"),
     ):
         path.write_text(bad, encoding="utf-8")
         with pytest.raises(GenotypeParseError, match=message) as exc:
@@ -436,16 +506,6 @@ def test_correlation_model_invariants_hold_for_random_data(n, l, pc, seed):
 # ----------------------------------------------------------------- lean fit
 
 
-def _missing_state_two(n=30, l=12, seed=0):
-    # columns 0-2 never hold state 2 and column 3 never holds state 0, so
-    # every conditional given those states is undefined at pseudo-count 0
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 3, size=(n, l))
-    values[:, :3] = rng.integers(0, 2, size=(n, 3))
-    values[:, 3] = rng.integers(1, 3, size=n)
-    return values
-
-
 @pytest.mark.parametrize("pseudo_count", [0.0, 0.5])
 @pytest.mark.parametrize(
     "values",
@@ -493,3 +553,21 @@ def test_model_checks_build_no_table_sized_temporaries():
         tracemalloc.stop()
     assert checked.cond is corr.cond
     assert peak < 24 * l**2, peak
+
+
+def test_model_read_peak_memory(tmp_path):
+    # the read holds the file's text, json's nested lists and the arrays; one
+    # float object per distinct number text, not per token, keeps the lists
+    # small (about 778 * l**2 bytes when every token made its own float)
+    l = 150
+    m = generate_synthetic_population(SyntheticSpec(n=200, l=l, maf=0.2, rho=0.8), 1)
+    path = tmp_path / "model.json"
+    compute_correlation_model(m).to_json(path)
+    tracemalloc.start()
+    try:
+        loaded = CorrelationModel.from_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.l == l
+    assert peak < 680 * l**2, peak
