@@ -1,8 +1,8 @@
 """Seeded comparison harness for the sharing mechanisms.
 
-For every budget in a grid and every trial, one dataset is produced (or
-loaded), correlations are estimated from it, and both sharing schemes run
-against the same attacker:
+For every trial one dataset is produced (or loaded) and fitted, and every
+budget of the grid runs on it: both sharing schemes run against the same
+attacker, and each budget gives one row of:
 
 * estimation error of plain randomized response with no attack, with the
   correlation attack, and of the correlation-aware mechanism under the
@@ -15,8 +15,9 @@ against the same attacker:
 Randomness fans out from the master seed through fixed spawn keys —
 (trial, 0) for data, and (trial, purpose, round(eps * 1e6)) with purpose
 1/2/3 for ordering, randomized-response noise, and mechanism noise — so
-adding trials or grid points never changes existing rows, and rows are
-emitted in (grid index, trial) order no matter how many workers ran.
+adding trials or grid points never changes existing rows.  A trial is the
+unit of work handed to a worker, and rows are emitted in (grid index, trial)
+order no matter how many workers ran.
 
 Results are plain CSV: a detail file with one row per (epsilon, trial) and
 a summary file with per-epsilon means and standard errors.  Every cell is
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -100,9 +102,12 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilon_grid", tuple(float(e) for e in self.epsilon_grid))
         if not self.epsilon_grid:
             raise ValueError("epsilon grid must be nonempty")
-        for eps in self.epsilon_grid:
+        for k, eps in enumerate(self.epsilon_grid):
             if not math.isfinite(eps) or eps < 0:
                 raise ValueError(f"grid epsilons must be finite and >= 0, got {eps}")
+            # a repeated budget would count each of its trials twice
+            if eps in self.epsilon_grid[:k]:
+                raise ValueError(f"epsilon grid repeats the budget {eps}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if (self.synthetic is None) == (self.dataset_path is None):
@@ -160,36 +165,14 @@ def _accuracy_metrics(prefix: str, report: AccuracyReport) -> dict[str, float]:
     }
 
 
-def _perturb_proposed(
+def _run_budget(
     config: ExperimentConfig,
     matrix: GenotypeMatrix,
     corr,
-    mech_config: MechanismConfig,
     epsilon: float,
     trial: int,
-) -> tuple[np.ndarray, tuple[int, ...] | np.ndarray]:
-    """Share the whole population with the configured ordering strategy.
-
-    Returns the reported matrix and the processing order: one for every row
-    under the random strategy, an (n, l) array of per-row orders otherwise.
-    """
-    ek = _eps_key(epsilon)
-    mech_seed = _sub_seed(config.seed, trial, _MECH_PURPOSE, ek)
-    if config.order_strategy is OrderStrategy.RANDOM:
-        order = random_order(matrix.l, _sub_seed(config.seed, trial, _ORDER_PURPOSE, ek))
-        return perturb_population(matrix, order, corr, mech_config, mech_seed).values, order
-    row_seeds = child_seeds(mech_seed, matrix.n)
-    if config.order_strategy is OrderStrategy.GREEDY:
-        values, _, orders = _greedy_rows(matrix.values, corr, mech_config, row_seeds)
-        return values, orders
-    values, _, orders = _optimal_rows(matrix.values, corr, mech_config, row_seeds)
-    return values, orders
-
-
-def run_single_trial(config: ExperimentConfig, epsilon: float, trial: int) -> TrialResult:
-    """One (epsilon, trial) cell: all configured metrics on one dataset."""
-    matrix = _load_data(config, trial)
-    corr = compute_correlation_model(matrix, config.pseudo_count)
+) -> TrialResult:
+    """One budget of one trial: all configured metrics on the trial's data."""
     ek = _eps_key(epsilon)
     mech_config = MechanismConfig(
         epsilon=epsilon, tau_hat=config.tau_hat, gamma_hat=config.gamma_hat, mode=config.mode
@@ -208,9 +191,17 @@ def run_single_trial(config: ExperimentConfig, epsilon: float, trial: int) -> Tr
 
     rr_matrix = rr_perturb(matrix, epsilon, _sub_seed(config.seed, trial, _RR_PURPOSE, ek))
     Y_rr = rr_matrix.values
-    prop_values, prop_order = _perturb_proposed(
-        config, matrix, corr, mech_config, epsilon, trial
-    )
+    # the proposed mechanism shares under one order for every row with the
+    # random strategy, and under an (n, l) array of per-row orders otherwise
+    mech_seed = _sub_seed(config.seed, trial, _MECH_PURPOSE, ek)
+    if config.order_strategy is OrderStrategy.RANDOM:
+        prop_order = random_order(matrix.l, _sub_seed(config.seed, trial, _ORDER_PURPOSE, ek))
+        prop_values = perturb_population(matrix, prop_order, corr, mech_config, mech_seed).values
+    else:
+        rows = _greedy_rows if config.order_strategy is OrderStrategy.GREEDY else _optimal_rows
+        prop_values, _, prop_order = rows(
+            matrix.values, corr, mech_config, child_seeds(mech_seed, matrix.n)
+        )
 
     metrics: dict[str, float] = {}
     metrics["e_rr"] = population_estimation_error(
@@ -250,8 +241,13 @@ def run_single_trial(config: ExperimentConfig, epsilon: float, trial: int) -> Tr
     return TrialResult(epsilon=epsilon, trial=trial, metrics=metrics)
 
 
-def _trial_task(args: tuple[ExperimentConfig, float, int]) -> TrialResult:
-    return run_single_trial(*args)
+def run_single_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
+    """One trial: its dataset is produced (or loaded) and fitted once, then
+    every budget of the grid runs on it.  Returns one row per budget, in grid
+    order."""
+    matrix = _load_data(config, trial)
+    corr = compute_correlation_model(matrix, config.pseudo_count)
+    return [_run_budget(config, matrix, corr, eps, trial) for eps in config.epsilon_grid]
 
 
 @dataclass(frozen=True)
@@ -297,18 +293,19 @@ def _fmt(x: float) -> str:
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Run the full grid; rows come back in (grid order, trial) order."""
+    """Run the full grid, one trial per task on at most ``jobs`` workers (never
+    more than there are trials); rows come back in (grid order, trial) order."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [
-        (config, eps, trial) for eps in config.epsilon_grid for trial in range(config.trials)
-    ]
-    if jobs == 1:
-        results = [_trial_task(t) for t in tasks]
+    run_trial = functools.partial(run_single_trial, config)
+    workers = min(jobs, config.trials)
+    if workers == 1:
+        per_trial = list(map(run_trial, range(config.trials)))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_trial_task, tasks))
-    return ExperimentResult(config=config, results=tuple(results))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(run_trial, range(config.trials)))
+    results = tuple(row for budget in zip(*per_trial) for row in budget)
+    return ExperimentResult(config=config, results=results)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:

@@ -54,22 +54,13 @@ def rr_params(epsilon: float) -> PerturbParams:
     return PerturbParams.from_likelihood_ratio(math.exp(epsilon))
 
 
-def _cell_uniforms(shape: tuple[int, ...], seed) -> np.ndarray:
-    """One uniform per cell, a deterministic function of (seed, row, column).
-
-    A single counter-based stream fills the matrix in row-major order, so the
-    draw consumed by cell (r, c) depends only on the seed and the cell's flat
-    index, never on which cells are perturbed or in what order.
-    """
-    rng = np.random.default_rng(as_seed_sequence(seed))
-    return rng.random(shape)
-
-
 def rr_perturb(matrix: GenotypeMatrix, epsilon: float, seed) -> GenotypeMatrix:
     """Perturb every cell independently by generalized randomized response."""
     params = rr_params(epsilon)
     X = matrix.values
-    u = _cell_uniforms(X.shape, seed)
+    # one draw per cell in row-major order: the uniform cell (r, c) gets depends
+    # only on the seed and its flat index, never on which cells are perturbed
+    u = np.random.default_rng(as_seed_sequence(seed)).random(X.shape)
     first_other = (X + 1) % NUM_STATES
     second_other = (X + 2) % NUM_STATES
     out = np.where(u < params.p, X, np.where(u < params.p + params.q, first_other, second_other))

@@ -532,6 +532,14 @@ def test_exit_codes(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and "usage error" in err
+    # a budget twice in the experiment grid -> 2, naming it, before anything is written
+    code, _, err = run_cli(
+        ["experiment", "--n", "8", "--l", "4", "--epsilon-grid", "0.5,1.0,1.0",
+         "--trials", "2", "--out", str(tmp_path / "twice")],
+        capsys,
+    )
+    assert code == 2 and "usage error" in err and "repeats the budget 1.0" in err
+    assert not (tmp_path / "twice").exists()
     # argparse rejections -> SystemExit(2)
     with pytest.raises(SystemExit) as exc:
         main(["perturb", "--data", str(data), "--epsilon", "1.0",

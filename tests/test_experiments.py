@@ -49,6 +49,8 @@ def test_config_validation():
         _config(tau_hat=1.5)  # delegated range check
     with pytest.raises(ValueError):
         _config(gamma=7.0)
+    with pytest.raises(ValueError, match="repeats the budget 1.0"):
+        _config(epsilon_grid=(1.0, 0.5, 1.0))
 
 
 def test_metric_names_follow_postprocess_flag():
@@ -95,23 +97,93 @@ def test_adding_grid_points_keeps_existing_rows():
         assert _same_row(by_key[(r.epsilon, r.trial)], r)
 
 
-def test_parallel_equals_serial():
+def test_parallel_equals_serial(tmp_path):
     config = _config(include_postprocess=False)
     serial = run_experiment(config, jobs=1)
     parallel = run_experiment(config, jobs=2)
     assert all(_same_row(s, p) for s, p in zip(serial.results, parallel.results))
     assert len(serial.results) == len(parallel.results)
+    serial_files = write_results(serial, tmp_path / "serial")
+    parallel_files = write_results(parallel, tmp_path / "parallel")
+    for a, b in zip(serial_files, parallel_files):
+        assert a.read_bytes() == b.read_bytes()
     with pytest.raises(ValueError, match="jobs"):
         run_experiment(config, jobs=0)
+
+
+def test_pool_never_outnumbers_the_trials(monkeypatch):
+    from corrldp import experiments
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    serial = run_experiment(_config(epsilon_grid=(1.0,), include_postprocess=False))
+    for trials, jobs, pools in ((1, 5, []), (3, 5, [3]), (3, 2, [2])):
+        sizes.clear()
+        config = _config(epsilon_grid=(1.0,), trials=trials, include_postprocess=False)
+        result = run_experiment(config, jobs=jobs)
+        assert sizes == pools, (trials, jobs)
+        assert len(result.results) == trials
+        assert all(_same_row(a, b) for a, b in zip(result.results, serial.results))
+
+
+def test_one_dataset_and_one_fit_per_trial(monkeypatch, tmp_path):
+    from corrldp import experiments
+    from corrldp.data import GenotypeMatrix, save_genotype_matrix
+    import numpy as np
+
+    calls = {}
+
+    def counted(name):
+        inner = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, wrapper)
+
+    for name in (
+        "generate_synthetic_population", "load_genotype_matrix", "compute_correlation_model"
+    ):
+        counted(name)
+    grid = dict(epsilon_grid=(0.5, 1.0, 1.5), trials=3, include_postprocess=False)
+    assert len(run_experiment(_config(**grid)).results) == 9
+    assert calls == {"generate_synthetic_population": 3, "compute_correlation_model": 3}
+
+    calls.clear()
+    path = tmp_path / "fixed.txt"
+    rng = np.random.default_rng(0)
+    save_genotype_matrix(GenotypeMatrix(rng.integers(0, 3, size=(10, 5))), path)
+    config = ExperimentConfig(seed=7, dataset_path=str(path), **grid)
+    assert len(run_experiment(config).results) == 9
+    assert calls == {"load_genotype_matrix": 3, "compute_correlation_model": 3}
 
 
 def test_single_trial_matches_harness_row():
     config = _config(include_postprocess=False)
     result = run_experiment(config)
-    lone = run_single_trial(config, 1.5, 2)
-    assert _same_row(
-        lone, [r for r in result.results if r.epsilon == 1.5 and r.trial == 2][0]
-    )
+    lone = run_single_trial(config, 2)
+    assert [(r.epsilon, r.trial) for r in lone] == [(eps, 2) for eps in config.epsilon_grid]
+    for row in lone:
+        assert _same_row(
+            row, [r for r in result.results if r.epsilon == row.epsilon and r.trial == 2][0]
+        )
 
 
 def test_order_strategies_all_run():
@@ -215,7 +287,7 @@ def test_dataset_path_mode(tmp_path):
     assert result.results[0].metrics != result.results[1].metrics
 
 
-def test_greedy_replay_error_is_the_mean_of_per_row_errors():
+def test_greedy_replay_error_is_the_mean_of_per_row_errors(monkeypatch):
     import numpy as np
 
     from corrldp import experiments
@@ -231,11 +303,19 @@ def test_greedy_replay_error_is_the_mean_of_per_row_errors():
         order_strategy=OrderStrategy.GREEDY,
         include_postprocess=False,
     )
-    result = run_single_trial(config, 1.0, 0)
+    shared = []
+
+    def spy(values, corr, attack_config, assumed_order=None):
+        if assumed_order is not None:  # the mechanism arm, attacked with its orders
+            shared.append((values, assumed_order))
+        return attack_population(values, corr, attack_config, assumed_order=assumed_order)
+
+    monkeypatch.setattr(experiments, "attack_population", spy)
+    (result,) = run_single_trial(config, 0)
+    ((values, orders),) = shared
     matrix = experiments._load_data(config, 0)
     corr = compute_correlation_model(matrix)
     mech = MechanismConfig(1.0, config.tau_hat, config.gamma_hat, config.mode)
-    values, orders = experiments._perturb_proposed(config, matrix, corr, mech, 1.0, 0)
     assert len({tuple(o) for o in orders}) > 1
     # each row is what greedy_share gives it on the row's own child seed
     seeds = child_seeds(experiments._sub_seed(config.seed, 0, experiments._MECH_PURPOSE, 10**6), matrix.n)
