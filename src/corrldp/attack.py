@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CorrelationModel, _as_genotype_array, _onehot
+from .data import CorrelationModel, _as_genotype_array, _planes
 from .mechanism import _count_operand, _sequential_share, _validate_order
 from .rr import rr_params
 
@@ -66,10 +66,12 @@ def _rr_profile(Y: np.ndarray, epsilon: float) -> np.ndarray:
     return np.where(Y[..., None] == np.arange(3), params.p, params.q)
 
 
-def _attack_counts(Y: np.ndarray, operand: np.ndarray) -> np.ndarray:
+def _attack_counts(Y: np.ndarray, operand: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """counts[j, i, v] = #{k != i : Pr(SNP_i=v | SNP_k=Y[j,k]) defined, < tau},
     ``operand`` being ``_count_operand(corr.increments(tau))``."""
-    counts = _onehot(Y) @ operand
+    base, change = operand
+    counts = _planes(Y) @ change
+    counts += base
     return np.rint(counts.reshape(Y.shape + (3,))).astype(np.int32)
 
 

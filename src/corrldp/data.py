@@ -21,6 +21,7 @@ STATES = (0, 1, 2)
 NUM_STATES = 3
 _DIGITS = frozenset("012")
 _CHECK_CELLS = 1 << 18  # conditionals per slice of the model checks
+_FILL_CELLS = 1 << 16  # conditionals per slice of the fit's fill
 _DRAW_BLOCK = 8192  # uniforms per call of the synthetic generator
 
 
@@ -267,19 +268,21 @@ class CorrelationModel:
         width = max(1, _CHECK_CELLS // (9 * max(1, cond.shape[0])))
         blocks = [cond[s : s + width] for s in range(0, cond.shape[0], width)]
         for block in blocks:
-            # an undefined (NaN) conditional fails neither comparison
-            if np.any((block < -1e-12) | (block > 1.0 + 1e-12)):
+            # fmin and fmax skip an undefined (NaN) conditional, not +-inf
+            lo, hi = np.fmin.reduce(block, axis=None), np.fmax.reduce(block, axis=None)
+            if lo < -1e-12 or hi > 1.0 + 1e-12:
                 raise GenotypeError("conditional probabilities must lie in [0, 1]")
-        # Defined conditionals for a fixed (i, k, b) must sum to 1.
-        # three passes over state a: a reduction over that short axis is
-        # several times slower, and np.nansum copies the table
+        # Defined conditionals for a fixed (i, k, b) must sum to 1: the plain
+        # sum over state a, redone without the undefined ones where it is NaN
         for block in blocks:
-            defined = ~np.isnan(block)
-            colsums = np.zeros(block.shape[:2] + (3,))
-            for a in STATES:
-                np.add(colsums, block[:, :, a], out=colsums, where=defined[:, :, a])
-            anydef = defined[:, :, 0] | defined[:, :, 1] | defined[:, :, 2]
-            if np.any(np.abs(colsums[anydef] - 1.0) > 1e-9):
+            sums = block[:, :, 0] + block[:, :, 1] + block[:, :, 2]
+            partial = np.isnan(sums)
+            if partial.any():
+                cells = block.transpose(0, 1, 3, 2)[partial]  # [cell, a]
+                v = np.nan_to_num(cells)  # no infinity passed the range check
+                empty = np.isnan(cells).all(axis=1)  # nothing defined, nothing to sum
+                sums[partial] = np.where(empty, 1.0, v[:, 0] + v[:, 1] + v[:, 2])
+            if np.any(np.abs(sums - 1.0) > 1e-9):
                 raise GenotypeError("defined conditionals Pr(. | SNP_k = b) must sum to 1")
         self.cond = cond
         self.marginals = marg
@@ -377,13 +380,14 @@ def _json_nested_list(texts: np.ndarray) -> str:
     return "[" * texts.ndim + "".join(pieces.ravel().tolist())
 
 
-def _onehot(Y: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """(n, 3l) indicators of an (n, l) genotype matrix: column 3i + v is 1
-    where Y[:, i] == v."""
+def _planes(Y: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """(n, 2l) indicators of states 1 and 2 of an (n, l) genotype matrix:
+    column 2i + v - 1 is 1 where Y[:, i] == v.  State 0 is what is left."""
     n, l = Y.shape
-    onehot = np.zeros((n, l, 3), dtype=dtype)
-    onehot[np.arange(n)[:, None], np.arange(l)[None, :], Y] = 1.0
-    return onehot.reshape(n, 3 * l)
+    planes = np.empty((n, l, 2), dtype=dtype)
+    np.equal(Y, 1, out=planes[:, :, 0])
+    np.equal(Y, 2, out=planes[:, :, 1])
+    return planes.reshape(n, 2 * l)
 
 
 def compute_correlation_model(
@@ -400,15 +404,31 @@ def compute_correlation_model(
     X = matrix.values
     n, l = X.shape
     # float32 counts pair by pair are exact below 2^24 rows
-    onehot = _onehot(X, np.float32 if n < 1 << 24 else np.float64)
-    counts = onehot.sum(axis=0, dtype=np.float64).reshape(l, 3)  # #{x_k = b}
-    gram = onehot.T @ onehot
-    del onehot
-    cond = np.empty((l, l, 3, 3))  # [i, k, a, b]
-    np.add(gram.reshape(l, 3, l, 3).transpose(0, 2, 1, 3), np.float64(pseudo_count), out=cond)
-    del gram
+    planes = _planes(X, np.float32 if n < 1 << 24 else np.float64)
+    counts = np.empty((l, 3))  # #{x_k = b}
+    counts[:, 1:] = planes.sum(axis=0, dtype=np.float64).reshape(l, 2)
+    counts[:, 0] = n - counts[:, 1] - counts[:, 2]
+    gram = (planes.T @ planes).reshape(l, 2, l, 2)  # #{x_i = a, x_k = b}, a, b > 0
+    del planes
     den = counts + 3.0 * pseudo_count  # [k, b]
-    cond /= np.where(den > 0, den, 1.0)[None, :, None, :]
+    scale = np.repeat(np.where(den > 0, den, 1.0)[:, None], 3, axis=1).reshape(9 * l)  # [k, a, b]
+    cond = np.empty((l, l, 3, 3))  # [i, k, a, b]
+    # a count with state 0 is a marginal count minus the pair's other counts;
+    # the table is filled over slices of SNPs i that stay in cache while
+    # they are completed and divided
+    width = max(1, _FILL_CELLS // (9 * l))
+    for s in range(0, l, width):
+        c = cond[s : s + width]
+        c[:, :, 1:, 1:] = gram[s : s + width].transpose(0, 2, 1, 3)
+        for b in (1, 2):  # one op over both b would step two cells at a time
+            np.subtract(counts[:, b], c[:, :, 1, b], out=c[:, :, 0, b])
+            c[:, :, 0, b] -= c[:, :, 2, b]
+        np.subtract(counts[s : s + width, None], c[:, :, :, 1], out=c[:, :, :, 0])
+        c[:, :, :, 0] -= c[:, :, :, 2]
+        c = c.reshape(-1, 9 * l)
+        c += pseudo_count
+        c /= scale
+    del gram
     empty_k, empty_b = np.nonzero(den == 0)
     cond[:, empty_k, :, empty_b] = np.nan
     marginals = (counts + pseudo_count) / (n + 3.0 * pseudo_count)

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .beacon import per_snp_expected_utility
-from .data import STATES, CorrelationModel, GenotypeMatrix, _as_genotype_array, _onehot, child_seeds
+from .data import STATES, CorrelationModel, GenotypeMatrix, _as_genotype_array, _planes, child_seeds
 from .rr import PerturbParams, rr_params
 
 
@@ -222,13 +222,17 @@ def _validate_order(order, l: int, rows: int | None = None):
 B = 32
 
 
-def _count_operand(table: np.ndarray) -> np.ndarray:
-    """A (k, 3, i, 3) slice of an increment table as the float32 (3k, 3i)
-    matrix that a product with one-hot reports turns into counters: row
-    3k + b, column 3i + v.  Counts stay below l < 2^24, so the product is
-    exact."""
+def _count_operand(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (k, 3, i, 3) slice of an increment table as float32 (base, change),
+    which turn reports' state planes (``_planes``) into counters as
+    ``planes @ change + base``: ``base`` (3i,) counts every SNP k reported 0,
+    and row 2k + b - 1 of ``change`` (2k, 3i) is ``table[k, b] - table[k, 0]``.
+    Every value is an integer below l < 2^24, so the product is exact."""
     k, _, i, _ = table.shape
-    return table.reshape(3 * k, 3 * i).astype(np.float32)
+    flags = table.view(np.int8)
+    base = flags[:, 0].sum(axis=0, dtype=np.float32).reshape(3 * i)
+    change = (flags[:, 1:] - flags[:, :1]).reshape(2 * k, 3 * i).astype(np.float32)
+    return base, change
 
 
 def _sequential_share(
@@ -254,13 +258,13 @@ def _sequential_share(
     of SNP i where ``inc[k, b, i, v]`` is set.
     Returns (values, eliminated, orders), orders being (n, l).
 
-    One order for every row is taken in blocks of B steps, on a copy of the
-    table with both SNP axes in processing order.  Within a block only the
-    block's own counters are bumped, by rows of its (B, 3, B, 3) sub-table;
-    after it, one float32 product of its one-hot reports with its rows of
-    the table adds its shares to the counters of every SNP still to come.  A chooser or per-row orders
-    need every counter at every step: the share is then one block, the table
-    as stored, and each step adds the full row ``inc[i, y]``.
+    One order for every row is taken in blocks of B steps, counters in
+    processing order.  Within a block only its own counters are bumped, by
+    its rows of the table as stored at its own columns; after it, one float32
+    product of its reports' state planes with the ``_count_operand`` of those
+    rows at the later columns adds its shares to every SNP still to come.  A
+    chooser or per-row orders need every counter at every step: the share is
+    then one block, the table as stored, each step adding the row ``inc[i, y]``.
     """
     n, l = (truth if reports is None else reports).shape
     values = np.empty((n, l), dtype=np.int8) if reports is None else reports
@@ -273,14 +277,20 @@ def _sequential_share(
     else:
         steps = np.asarray(order).T
         next_snp, shared = (lambda taken, *_: steps[taken.shape[1]]), steps.ndim == 1
-    table = inc[steps].take(steps, axis=2) if shared else inc
     size = B if shared else l
-    # counters in the table's SNP order; a block's own are exact int16 copies
-    counters = np.zeros((n, l, 3), dtype=np.int16 if size >= l else np.float32)
+    # a shared block's own counters are int16 copies that take on the bases of
+    # the blocks before it, which are the same for every row
+    counters = np.zeros((n, l, 3), dtype=np.float32 if shared else np.int16)
+    bases = np.zeros((l, 3), dtype=np.float32)
     for s in range(0, l, size):
         e = min(s + size, l)
-        own = counters[:, s:e].astype(np.int16, copy=False)
-        sub = np.ascontiguousarray(table[s:e, :, s:e])
+        if shared:  # the block's rows of the table, then their own columns; take
+            # copies in C order, where [:, :, idx] made the share twice as slow
+            block = inc[steps[s:e]]
+            sub = block.take(steps[s:e], axis=2)
+            own = (counters[:, s:e] + bases[s:e]).astype(np.int16)
+        else:
+            sub, own = inc, counters
         for a in range(s + 1, e + 1):
             i = next_snp(orders[:, : a - 1], counters, values)
             # one SNP for every row indexes its column as a basic slice (cheaper
@@ -299,8 +309,9 @@ def _sequential_share(
             own += sub[here[1], y]
             orders[:, a - 1] = i
         if e < l:
-            later = _onehot(values[:, steps[s:e]]) @ _count_operand(table[s:e, :, e:])
-            counters[:, e:] += later.reshape(n, l - e, 3)
+            base, change = _count_operand(block.take(steps[e:], axis=2))
+            counters[:, e:] += (_planes(values[:, steps[s:e]]) @ change).reshape(n, l - e, 3)
+            bases[e:] += base.reshape(l - e, 3)
     return values, eliminated, orders
 
 

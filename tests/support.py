@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: handcrafted correlation models,
 exact-arithmetic randomized-response parameters, the exact-order oracles
 (expectimax over raw prefixes and brute force over static orders), the model
-fit's formula on float64 counts, the column-by-column synthetic
+fit's formula on float64 counts, the elimination counts as a float64
+one-hot product, the column-by-column synthetic
 generator, scalar references for the sequential mechanism that the
 vectorized code is checked against, the per-family-shape parent posteriors,
 and value-by-value writers and readers for the file formats."""
@@ -138,6 +139,17 @@ def reference_synthetic_population(spec: SyntheticSpec, seed) -> np.ndarray:
 
 
 # ------------------------------------------- scalar mechanism references
+
+
+def reference_counts(Y: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """counts[j, i, v] = sum over k of inc[k, Y[j, k], i, v]: the float64
+    product of (n, 3k) one-hot reports with the (k, 3, i, 3) table as a
+    (3k, 3i) matrix, for a table whose k axis runs over Y's columns."""
+    n, k = Y.shape
+    onehot = np.zeros((n, k, 3))
+    onehot[np.arange(n)[:, None], np.arange(k)[None, :], Y] = 1.0
+    i = inc.shape[2]
+    return (onehot.reshape(n, 3 * k) @ inc.reshape(3 * k, 3 * i).astype(np.float64)).reshape(n, i, 3)
 
 
 @dataclass(frozen=True)

@@ -482,6 +482,26 @@ def test_postprocess_builds_no_dense_copy_of_the_model():
     assert peak < 72 * l**2, peak
 
 
+def test_attack_peak_memory():
+    # the increment table is 9 * l**2 bytes; the attack multiplies the
+    # reports' state planes by one float32 (2l, 3l) operand, built from an
+    # int8 difference of the table's planes
+    l = 400
+    m = generate_synthetic_population(SyntheticSpec(n=200, l=l, maf=0.2, rho=0.8), 1)
+    corr = compute_correlation_model(m)
+    config = AttackConfig(epsilon_known=1.0, tau=0.2, gamma=0.5)
+    corr.increments(config.tau)
+    Y = np.random.default_rng(1).integers(0, 3, size=(200, l))
+    tracemalloc.start()
+    try:
+        belief = attack_population(Y, corr, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert belief.probs.shape == (200, l, 3)
+    assert peak < 48 * l**2, peak
+
+
 def test_postprocess_empty_matrix_and_model_size():
     corr = uniform_corr(4)
     out = rr_postprocess_population(np.zeros((0, 4), dtype=int), corr, 0.2, 0.5)

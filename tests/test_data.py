@@ -485,6 +485,28 @@ def test_correlation_model_validation(monkeypatch):
         )
 
 
+def test_model_checks_sum_only_the_defined_conditionals(monkeypatch):
+    # one SNP per slice; the cells with an undefined conditional take the
+    # second, NaN-skipping sum
+    monkeypatch.setattr(data, "_CHECK_CELLS", 9 * 3)
+    marginals = np.full((3, 3), 1.0 / 3)
+    cond = np.full((3, 3, 3, 3), 1.0 / 3)
+    cond[1, 2, :, 0] = (0.25, np.nan, 0.75)  # partly undefined, sums to 1
+    cond[2, 0, :, 1] = np.nan  # nothing defined, nothing to sum
+    CorrelationModel(cond=cond.copy(), marginals=marginals)
+    off = cond.copy()
+    off[1, 2, 2, 0] += 2e-9
+    with pytest.raises(GenotypeError, match="must sum to 1"):
+        CorrelationModel(cond=off, marginals=marginals)
+    # a range fault beside an undefined conditional, in a slice after a sum
+    # fault, still gets the range message
+    for value in (-0.25, 1.25, np.inf, -np.inf):
+        bad = off.copy()
+        bad[2, 0, 0, 1] = value
+        with pytest.raises(GenotypeError, match=r"must lie in \[0, 1\]"):
+            CorrelationModel(cond=bad, marginals=marginals)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(2, 10),
@@ -524,9 +546,22 @@ def test_fit_is_bit_identical_to_the_float64_formula(values, pseudo_count):
     ))
 
 
+@pytest.mark.parametrize("pseudo_count", [0.0, 0.5])
+@pytest.mark.parametrize("width", [1, 3])
+def test_fit_is_bit_identical_across_fill_slices(monkeypatch, pseudo_count, width):
+    # 40 SNPs over slices of one, then of three (the last holding one)
+    values = _missing_state_two(n=9, l=40, seed=4)
+    monkeypatch.setattr(data, "_FILL_CELLS", 9 * 40 * width)
+    corr = compute_correlation_model(GenotypeMatrix(values), pseudo_count)
+    cond, marginals = reference_fit(values, pseudo_count)
+    assert corr.cond.tobytes() == cond.tobytes()
+    assert corr.marginals.tobytes() == marginals.tobytes()
+
+
 def test_fit_peak_memory_stays_below_three_models():
     # the model is 72 * l**2 bytes of float64; the fit holds one float32 Gram
-    # product beside it and frees that before the model checks itself
+    # product of the state-1 and state-2 planes, (2l, 2l), beside it and frees
+    # that before the model checks itself
     l = 400
     m = generate_synthetic_population(SyntheticSpec(n=200, l=l, maf=0.2, rho=0.8), 1)
     tracemalloc.start()

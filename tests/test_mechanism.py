@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +14,14 @@ from support import (
     custom_corr,
     eliminate_states,
     exact_params,
+    reference_counts,
     reference_greedy,
     reference_share,
     sharing_distribution,
     uniform_corr,
 )
 
-from corrldp import mechanism
+from corrldp import attack, mechanism
 from corrldp.attack import recover_possible_inputs
 from corrldp.beacon import per_snp_expected_utility
 from corrldp.data import (
@@ -440,3 +442,91 @@ def test_per_row_orders_and_greedy_match_their_reference_past_one_block():
         order, seq = greedy_share(m.row(j), corr, cfg, seeds[j])
         ref_order, ref_greedy = reference_greedy(m.row(j), corr, cfg, seeds[j])
         assert order == ref_order and np.array_equal(seq.values, ref_greedy), f"row {j}"
+
+
+# --------------------------------------------------- exact counter products
+
+# (n, l): one row, one SNP, and both sides of one and two blocks
+COUNT_CASES = [
+    (1, mechanism.B + 1), (5, 1), (5, mechanism.B - 1), (5, mechanism.B),
+    (5, mechanism.B + 1), (5, 2 * mechanism.B + 1),
+]
+
+
+def _count_case(n, l):
+    """A cohort whose column 0 never takes state 0 and whose last column, past
+    one SNP, never takes state 2, with its model."""
+    m = generate_synthetic_population(SyntheticSpec(n=n, l=l, maf=0.3, rho=0.7), 60 + l)
+    values = m.values.copy()
+    rng = np.random.default_rng(l)
+    values[:, 0] = rng.integers(1, 3, size=n)
+    if l > 1:
+        values[:, -1] = rng.integers(0, 2, size=n)
+    m = GenotypeMatrix(values)
+    return m, compute_correlation_model(m)
+
+
+@pytest.mark.parametrize("n, l", COUNT_CASES)
+def test_attack_counts_equal_the_float64_one_hot_product(n, l):
+    m, corr = _count_case(n, l)
+    inc = corr.increments(0.3)
+    Y = np.random.default_rng(n + l).integers(0, 3, size=(n, l))
+    for reports in (m.values, Y):
+        got = attack._attack_counts(reports, mechanism._count_operand(inc))
+        assert got.dtype == np.int32 and np.array_equal(got, reference_counts(reports, inc))
+
+
+class _CounterSpy:
+    """A threshold that keeps the counters the sharing loop compares with it."""
+
+    __array_ufunc__ = None  # so `counters >= spy` calls spy.__le__(counters)
+
+    def __init__(self, need, seen):
+        self.need, self.seen = need, seen
+
+    def __le__(self, counters):
+        self.seen.append(np.array(counters))
+        return counters >= self.need
+
+
+@pytest.mark.parametrize("n, l", COUNT_CASES)
+def test_fixed_order_counters_equal_the_float64_one_hot_product(monkeypatch, n, l):
+    # at step a, the counters of SNP order[a - 1] count the reports of the
+    # SNPs shared before it, whether the loop shares or replays
+    m, corr = _count_case(n, l)
+    inc = corr.increments(0.3)
+    order = tuple(np.random.default_rng(n * l).permutation(l).tolist())
+    seen = []
+    thresholds = mechanism._thresholds
+    monkeypatch.setattr(
+        mechanism, "_thresholds", lambda g, size: [_CounterSpy(t, seen) for t in thresholds(g, size)]
+    )
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.3, gamma_hat=0.2)
+    share = perturb_population(m, order, corr, cfg, 9)
+    mechanism._sequential_share(inc, 0.2, order, reports=share.values)
+    assert len(seen) == 2 * l
+    for a, i in enumerate(order):
+        prefix = list(order[:a])
+        want = reference_counts(share.values[:, prefix], inc[prefix])[:, i]
+        assert np.array_equal(seen[a], want) and np.array_equal(seen[l + a], want), f"step {a + 1}"
+    assert l == 1 or any(counters.any() for counters in seen)
+
+
+def test_share_peak_memory_holds_no_copy_of_the_table():
+    # the increment table is 9 * l**2 bytes; the share gathers each block's
+    # rows of it, never a permuted copy of the whole, and multiplies by a
+    # (2B, 3l) operand per block
+    l = 400
+    m = generate_synthetic_population(SyntheticSpec(n=200, l=l, maf=0.2, rho=0.8), 1)
+    corr = compute_correlation_model(m)
+    cfg = MechanismConfig(epsilon=1.0, tau_hat=0.2, gamma_hat=0.5)
+    corr.increments(cfg.tau_hat)
+    order = np.random.default_rng(1).permutation(l)
+    tracemalloc.start()
+    try:
+        share = perturb_population(m, order, corr, cfg, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert share.values.shape == (200, l)
+    assert peak < 33 * l**2, peak

@@ -97,7 +97,7 @@ def _float32_conversions(path: Path) -> list[str]:
 
 
 def test_one_function_converts_the_increment_table_to_float32():
-    # mechanism._count_operand builds the float32 (3l, 3l) operand that the
-    # blocked kernel (permuted) and the attack (as stored) multiply by
+    # mechanism._count_operand builds the float32 (2k, 3i) operand that the
+    # blocked kernel (per block) and the attack (whole table) multiply by
     found = [f for p in sorted((ROOT / "src" / "corrldp").glob("*.py")) for f in _float32_conversions(p)]
     assert found == ["mechanism.py: _count_operand"]
